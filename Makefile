@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race race-core race-dataplane race-screp race-server race-tenant race-bytecode allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-guard bench-smoke bench-dataplane bench-server bench-tenant fuzz-smoke fuzz clean
+.PHONY: all build vet fmt-check test race race-core race-dataplane race-screp race-server race-tenant race-bytecode allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check perfbench-check bench bench-guard bench-smoke bench-server bench-tenant fuzz-smoke fuzz clean
 
 all: check
 
@@ -34,11 +34,12 @@ race-core:
 race-dataplane:
 	$(GO) test -race -count 1 ./internal/dataplane
 
-# allocs-gate is the hot-path allocation regression gate: steady-state
-# Submit must perform exactly zero heap allocations per packet and
-# SubmitBatch ~zero per chunk (testing.AllocsPerRun counts process-wide
-# mallocs, so worker-side regressions are caught too). Deliberately not
-# under -race: the race runtime allocates, so those tests self-skip there.
+# allocs-gate is the hot-path allocation regression gate, run over both
+# engines (sharded and screp): steady-state Submit must perform exactly zero
+# heap allocations per packet and SubmitBatch ~zero per chunk
+# (testing.AllocsPerRun counts process-wide mallocs, so worker-side
+# regressions are caught too). Deliberately not under -race: the race
+# runtime allocates, so those tests self-skip there.
 allocs-gate:
 	$(GO) test -count 1 -run 'TestSubmitSteadyStateAllocs|TestSubmitBatchSteadyStateAllocs' ./internal/dataplane
 
@@ -101,8 +102,14 @@ trace-smoke:
 # check is the full local gate: build, gofmt, vet, the race-enabled test
 # suite, the hot-path allocation gate, the poison-on-free lifecycle pass,
 # the deterministic differential-fuzzing smoke, the daemon and tracing
-# soaks, and the telemetry-overhead guard benchmark.
-check: vet race race-screp allocs-gate race-poison fuzz-smoke serve-smoke trace-smoke tenant-smoke bench-guard
+# soaks, the benchmark module, and the telemetry-overhead guard benchmark.
+check: vet race race-screp allocs-gate race-poison fuzz-smoke serve-smoke trace-smoke tenant-smoke perfbench-check bench-guard
+
+# perfbench-check vets and tests the benchmark module. perfbench/ is a
+# separate Go module, so the root `go test ./...` never compiles it; this
+# step keeps an engine API change from breaking the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test -count 1 .
 
 # fuzz-smoke is the deterministic, seeded, time-bounded slice of the
 # differential fuzzing harness: MP5_FUZZ_CASES fixed cases (program +
@@ -135,22 +142,17 @@ bench-guard:
 # on the same traces, and records the machine-readable perf trajectory in
 # BENCH_core.json (acceptance: sparse scheduler speedup ≥ 2x, dense within
 # 5% of the sweep, bytecode ≥ 1.5x over the interpreter at dense line
-# rate), then refreshes the dataplane scaling curve.
-bench-smoke: bench-dataplane bench-server
+# rate), then refreshes the server loopback numbers. The in-process
+# engines are measured by perfbench (bash perfbench/run.sh), whose ladder
+# times both state policies at w1/w2 with repeated runs.
+bench-smoke: bench-server
 	$(GO) run ./cmd/mp5bench -core-bench -bench-out BENCH_core.json
-
-# bench-dataplane times the concurrent dataplane at worker counts
-# {1, 2, GOMAXPROCS} on a dense line-rate trace against the event-driven
-# simulator baseline, cross-checking every worker count against the
-# reference first, and records the curve (plus num_cpu/gomaxprocs context)
-# in BENCH_dataplane.json.
-bench-dataplane:
-	$(GO) run ./cmd/mp5bench -dataplane-bench -bench-out BENCH_dataplane.json
 
 # bench-server times the full network path — the closed-loop TCP client
 # against an in-process daemon over loopback — at worker counts
 # {1, 2, GOMAXPROCS} and records pps plus RTT quantiles in
-# BENCH_server.json; the gap to BENCH_dataplane.json prices the wire.
+# BENCH_server.json; the gap to perfbench's in-process engine ladder prices
+# the wire.
 bench-server:
 	$(GO) run ./cmd/mp5bench -server-bench -bench-out BENCH_server.json
 

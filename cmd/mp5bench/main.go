@@ -12,8 +12,6 @@
 //	                         #  fig7a..fig7d, fig8)
 //	mp5bench -core-bench -bench-out BENCH_core.json
 //	                         # event-driven vs full-sweep scheduler timing
-//	mp5bench -dataplane-bench -bench-out BENCH_dataplane.json
-//	                         # concurrent dataplane worker-scaling timing
 //	mp5bench -server-bench -bench-out BENCH_server.json
 //	                         # network daemon loopback-TCP timing
 package main
@@ -25,19 +23,15 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
 	"mp5/internal/apps"
 	"mp5/internal/banzai"
 	"mp5/internal/core"
-	"mp5/internal/dataplane"
-	"mp5/internal/equiv"
 	"mp5/internal/experiments"
 	"mp5/internal/ir"
 	"mp5/internal/ir/bytecode"
-	"mp5/internal/screp"
 	"mp5/internal/workload"
 )
 
@@ -48,18 +42,13 @@ func main() {
 	seeds := flag.Int("seeds", 0, "override seed count")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus-text snapshot of the harness metrics to this file when done")
 	coreBench := flag.Bool("core-bench", false, "time the event-driven scheduler against the legacy full sweep (sparse and dense traces) and exit")
-	dataplaneBench := flag.Bool("dataplane-bench", false, "time the concurrent dataplane across worker counts against the simulator baseline and exit")
 	serverBench := flag.Bool("server-bench", false, "time the network daemon over loopback TCP across worker counts and exit")
 	tenantBench := flag.Bool("tenant-bench", false, "measure the multi-tenant noisy-neighbor bar (victim pps solo vs with a quota-capped flood) and exit")
-	benchOut := flag.String("bench-out", "", "with -core-bench, -dataplane-bench, -server-bench, or -tenant-bench: write the machine-readable results to this JSON file")
+	benchOut := flag.String("bench-out", "", "with -core-bench, -server-bench, or -tenant-bench: write the machine-readable results to this JSON file")
 	flag.Parse()
 
 	if *coreBench {
 		runCoreBench(*benchOut)
-		return
-	}
-	if *dataplaneBench {
-		runDataplaneBench(*benchOut)
 		return
 	}
 	if *serverBench {
@@ -348,57 +337,6 @@ func timeScenario(prog *ir.Program, name string, trace []core.Arrival) coreScena
 	}
 }
 
-// Execution strategy names recorded on dpScenario rows. Both are omitempty
-// additions, so BENCH_dataplane.json files written before the replication
-// engine existed still decode: a row with no strategy is a sharded run of
-// the original (sole) workload.
-const (
-	strategySharded    = "sharded"
-	strategyReplicated = "screp"
-)
-
-// dpScenario is one row of BENCH_dataplane.json: one (workload, strategy,
-// worker count) cell, timed on the same dense trace.
-type dpScenario struct {
-	// Workload names the trace/program pair; Strategy the engine that ran it
-	// (sharded = internal/dataplane's D2 index sharding, screp =
-	// internal/screp's state-compute replication). Empty values mean the
-	// pre-replication schema: the write-heavy workload on the sharded engine.
-	Workload      string  `json:"workload,omitempty"`
-	Strategy      string  `json:"strategy,omitempty"`
-	Workers       int     `json:"workers"`
-	NsPerRun      int64   `json:"ns_per_run"`
-	PktsPerSec    float64 `json:"pkts_per_sec"`
-	SpeedupVs1    float64 `json:"speedup_vs_1"`
-	SpeedupVsCore float64 `json:"speedup_vs_core"`
-	// AllocsPerPkt is the marginal heap allocations per packet at steady
-	// state, measured as the malloc-count delta between a double-length and
-	// a single-length run over the extra packets — engine construction and
-	// pool warmup cancel out. The pooled hot path keeps this near zero.
-	AllocsPerPkt float64 `json:"allocs_per_pkt"`
-	Matched      bool    `json:"matched"`
-}
-
-// dpBenchReport is the BENCH_dataplane.json schema. NumCPU/GoMaxProcs pin
-// the hardware context: worker scaling beyond the core count measures
-// scheduling overhead, not parallel speedup, so the honest headline on a
-// small box is speedup_vs_core (direct execution vs. the cycle-accurate
-// simulator on the same trace).
-type dpBenchReport struct {
-	Benchmark  string `json:"benchmark"`
-	Date       string `json:"date"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	// SingleCPU flags a run where GOMAXPROCS or NumCPU is 1: worker
-	// scaling numbers then measure scheduling overhead, not parallel
-	// speedup, and must not be read as scaling claims.
-	SingleCPU      bool         `json:"single_cpu"`
-	Packets        int          `json:"packets"`
-	CorePktsPerSec float64      `json:"core_pkts_per_sec"`
-	Scenarios      []dpScenario `json:"scenarios"`
-}
-
 // warnSingleCPU prints the prominent single-CPU warning and reports whether
 // it fired — mp5bench must never write scaling numbers from a one-core box
 // without complaint.
@@ -412,241 +350,6 @@ func warnSingleCPU(bench string) bool {
 			"WARNING: the JSON is flagged \"single_cpu\": true. Re-run on a multi-core box for scaling claims.\n",
 		bench, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	return true
-}
-
-// dpWorkload is one program/trace pair the strategy sweep times. The two
-// committed workloads are chosen to put the sharded-vs-replicated trade on
-// the record: heavy per-packet state writes make the replicated engine
-// re-apply every store on all replicas (sharding's home turf), while a
-// steering-hostile workload whose packets each touch several different
-// register arrays makes the sharded admitter resolve and steer every packet
-// across owners (replication's home turf — it sprays and pays nothing at
-// admission).
-type dpWorkload struct {
-	name  string
-	prog  *ir.Program
-	trace []core.Arrival
-}
-
-func dpWorkloads() []dpWorkload {
-	write, err := apps.Synthetic(4, 512, 16)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	// Many small arrays with skewed access: resolution + crossbar steering
-	// dominate the sharded engine's per-packet cost, while the deltas the
-	// replicated engine must replay stay tiny.
-	scatter, err := apps.Synthetic(8, 8, 16)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	return []dpWorkload{
-		{
-			name:  "write-heavy",
-			prog:  write,
-			trace: workload.Synthetic(write, workload.Spec{Packets: 20000, Pipelines: 4, Seed: 1}, 4, 512),
-		},
-		{
-			name: "scatter",
-			prog: scatter,
-			trace: workload.Synthetic(scatter, workload.Spec{
-				Packets: 20000, Pipelines: 4, Seed: 1, Pattern: workload.Skewed,
-			}, 8, 8),
-		},
-	}
-}
-
-// dpStrategyRun abstracts one engine strategy for the bench loop: a
-// recording cross-check run and an untimed-construction timed run.
-type dpStrategyRun struct {
-	name string
-	// check runs once with recording on and reports whether all three
-	// oracles held; run constructs a fresh engine and processes the trace
-	// (the timed/alloc-counted body).
-	check func(prog *ir.Program, trace []core.Arrival, w int, refOrder map[string][]int64) bool
-	run   func(prog *ir.Program, trace []core.Arrival, w int)
-}
-
-func dpStrategies() []dpStrategyRun {
-	return []dpStrategyRun{
-		{
-			name: strategySharded,
-			check: func(prog *ir.Program, trace []core.Arrival, w int, refOrder map[string][]int64) bool {
-				eng := dataplane.New(prog, dataplane.Config{
-					Workers: w, RecordOutputs: true, RecordAccessOrder: true,
-				})
-				res := eng.Run(trace)
-				return !res.Stalled && res.Completed == res.Injected &&
-					equiv.CheckState(prog, eng.FinalRegs(), eng.Outputs(), trace).Equivalent &&
-					reflect.DeepEqual(refOrder, eng.AccessOrders())
-			},
-			run: func(prog *ir.Program, trace []core.Arrival, w int) {
-				dataplane.New(prog, dataplane.Config{Workers: w}).Run(trace)
-			},
-		},
-		{
-			name: strategyReplicated,
-			check: func(prog *ir.Program, trace []core.Arrival, w int, refOrder map[string][]int64) bool {
-				eng := screp.New(prog, screp.Config{
-					Workers: w, RecordOutputs: true, RecordAccessOrder: true,
-				})
-				res := eng.Run(trace)
-				return !res.Stalled && res.Completed == res.Injected &&
-					equiv.CheckState(prog, eng.FinalRegs(), eng.Outputs(), trace).Equivalent &&
-					reflect.DeepEqual(refOrder, eng.AccessOrders())
-			},
-			run: func(prog *ir.Program, trace []core.Arrival, w int) {
-				screp.New(prog, screp.Config{Workers: w}).Run(trace)
-			},
-		},
-	}
-}
-
-// runDataplaneBench times both concurrent execution strategies — D2 index
-// sharding (internal/dataplane) and state-compute replication
-// (internal/screp) — on dense line-rate traces at worker counts
-// {1, 2, 4, GOMAXPROCS}, against the event-driven simulator on the primary
-// workload as the baseline. Every (workload, strategy, workers) cell is
-// first cross-checked against the single-pipeline reference (state,
-// outputs, C1 order) in a recording run; the timed runs disable recording.
-func runDataplaneBench(outPath string) {
-	workloads := dpWorkloads()
-	strategies := dpStrategies()
-
-	// Core baseline on the primary workload, as before the strategy sweep.
-	primary := workloads[0]
-	coreBest := time.Duration(1<<63 - 1)
-	for rep := 0; rep < 8; rep++ { // rep 0 is warmup
-		sim := core.NewSimulator(primary.prog, core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 1})
-		start := time.Now()
-		sim.Run(primary.trace)
-		if d := time.Since(start); rep > 0 && d < coreBest {
-			coreBest = d
-		}
-	}
-	corePPS := float64(len(primary.trace)) / coreBest.Seconds()
-
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	sort.Ints(counts)
-	report := dpBenchReport{
-		Benchmark:      "dataplane-scaling",
-		Date:           time.Now().UTC().Format(time.RFC3339),
-		GoVersion:      runtime.Version(),
-		NumCPU:         runtime.NumCPU(),
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		SingleCPU:      warnSingleCPU("dataplane-bench"),
-		Packets:        len(primary.trace),
-		CorePktsPerSec: corePPS,
-	}
-	for _, wl := range workloads {
-		n := float64(len(wl.trace))
-		refOrder := equiv.ReferenceOrder(wl.prog, wl.trace)
-		for _, st := range strategies {
-			var pps1 float64
-			for i, w := range counts {
-				if i > 0 && w == counts[i-1] {
-					continue // GOMAXPROCS collides with 1 or 2 on small boxes
-				}
-				matched := st.check(wl.prog, wl.trace, w, refOrder)
-				best := time.Duration(1<<63 - 1)
-				for rep := 0; rep < 8; rep++ { // rep 0 is warmup
-					start := time.Now()
-					st.run(wl.prog, wl.trace, w)
-					if d := time.Since(start); rep > 0 && d < best {
-						best = d
-					}
-				}
-				pps := n / best.Seconds()
-				if pps1 == 0 {
-					pps1 = pps
-				}
-				report.Scenarios = append(report.Scenarios, dpScenario{
-					Workload:      wl.name,
-					Strategy:      st.name,
-					Workers:       w,
-					NsPerRun:      best.Nanoseconds(),
-					PktsPerSec:    pps,
-					SpeedupVs1:    pps / pps1,
-					SpeedupVsCore: pps / corePPS,
-					AllocsPerPkt:  measureDpAllocs(wl.prog, wl.trace, w, st.run),
-					Matched:       matched,
-				})
-			}
-		}
-	}
-	out, _ := json.MarshalIndent(report, "", "  ")
-	out = append(out, '\n')
-	if outPath == "" {
-		os.Stdout.Write(out)
-		return
-	}
-	if err := os.WriteFile(outPath, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("core baseline    %10.0f pkts/s (%s)\n", corePPS, primary.name)
-	for _, sc := range report.Scenarios {
-		fmt.Printf("%-12s %-8s workers=%-2d %10.0f pkts/s  vs1 %.2fx  vs core %.2fx  allocs/pkt %.3f  matched=%v\n",
-			sc.Workload, sc.Strategy, sc.Workers, sc.PktsPerSec, sc.SpeedupVs1,
-			sc.SpeedupVsCore, sc.AllocsPerPkt, sc.Matched)
-	}
-	for _, wl := range workloads {
-		fmt.Printf("winner %-12s %s\n", wl.name, dpWinners(report.Scenarios, wl.name))
-	}
-	fmt.Println("wrote", outPath)
-}
-
-// dpWinners names the faster strategy per worker count for a workload —
-// the strategies are only comparable at matched parallelism (the replicated
-// engine's one-worker row is a near-overhead-free serial loop, the sharded
-// engine's multi-worker rows are where partitioned state pays off).
-func dpWinners(rows []dpScenario, workload string) string {
-	best := map[int]dpScenario{}
-	var order []int
-	for _, sc := range rows {
-		if sc.Workload != workload {
-			continue
-		}
-		if prev, ok := best[sc.Workers]; !ok {
-			best[sc.Workers] = sc
-			order = append(order, sc.Workers)
-		} else if sc.PktsPerSec > prev.PktsPerSec {
-			best[sc.Workers] = sc
-		}
-	}
-	sort.Ints(order)
-	var b strings.Builder
-	for i, w := range order {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "w%d:%s", w, best[w].Strategy)
-	}
-	return b.String()
-}
-
-// measureDpAllocs measures an engine's marginal heap allocations per
-// packet at steady state: the malloc-count delta between a double-length
-// and a single-length run, divided by the extra packets — the fixed costs
-// (engine construction, worker startup, free-list and scratch warmup)
-// cancel out of the subtraction.
-func measureDpAllocs(prog *ir.Program, trace []core.Arrival, workers int, run func(*ir.Program, []core.Arrival, int)) float64 {
-	count := func(tr []core.Arrival) uint64 {
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		run(prog, tr, workers)
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
-	}
-	double := append(append(make([]core.Arrival, 0, 2*len(trace)), trace...), trace...)
-	d := float64(count(double)) - float64(count(trace))
-	if d < 0 {
-		d = 0
-	}
-	return d / float64(len(trace))
 }
 
 func emit(f func() *experiments.Table) {

@@ -40,9 +40,9 @@ type traceScenario struct {
 	SpansDropped int64   `json:"spans_dropped"`
 }
 
-// srvBenchReport is the BENCH_server.json schema. The in-process dataplane
-// rate from BENCH_dataplane.json is the natural comparison point: the gap
-// between the two is the cost of the wire. TraceOverheadPct prices the
+// srvBenchReport is the BENCH_server.json schema. The in-process engine
+// rate from perfbench's ladder (dataplane.w2_ns_per_pkt) is the natural
+// comparison point: the gap between the two is the cost of the wire. TraceOverheadPct prices the
 // observability layer: the pps delta between the untraced baseline and the
 // default 1/1024 sampling, as a percentage of the baseline (the tentpole's
 // <2% acceptance bar).

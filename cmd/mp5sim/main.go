@@ -112,11 +112,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *engineName == "dataplane" {
-		os.Exit(runDataplane(prog, trace, *workers, *verify, *metricsOut))
-	}
-	if *engineName == "screp" {
-		os.Exit(runScrep(prog, trace, *workers, *verify, *metricsOut))
+	if *engineName != "sim" {
+		os.Exit(runEngine(*engineName, prog, trace, *workers, *verify, *metricsOut))
 	}
 
 	cfg := core.Config{
@@ -198,7 +195,7 @@ func main() {
 	fmt.Printf("max queue depth    %d (ingress %d)\n", res.MaxFIFODepth, res.MaxIngressDepth)
 	fmt.Printf("shard moves        %d\n", res.ShardMoves)
 	fmt.Printf("recirculations     %d (%.2f per packet)\n", res.Recirculations,
-		float64(res.Recirculations)/float64(max64(res.Injected, 1)))
+		float64(res.Recirculations)/float64(max(res.Injected, 1)))
 	fmt.Printf("C1 violations      %d packets (%.2f%%)\n", res.C1Violating, 100*res.ViolationFraction)
 	fmt.Printf("reordered egress   %d packets\n", res.Reordered)
 
@@ -284,11 +281,13 @@ func main() {
 	}
 }
 
-// runDataplane executes the trace on the concurrent goroutine engine instead
-// of the cycle-accurate simulator and prints the analogous summary. Verify
-// checks both state/output equivalence and the per-slot C1 access order
+// runEngine executes the trace on one of the concurrent engines —
+// "dataplane" (D2 index sharding) or "screp" (state-compute replication) —
+// and prints a summary; the sharded engine reports its crossbar columns,
+// the replicated one its replication overhead (published deltas, replayed
+// writes). Verify holds either to the state/output and C1-order oracles
 // against the single-pipeline reference. Returns the process exit code.
-func runDataplane(prog *ir.Program, trace []core.Arrival, workers int, verify bool, metricsOut string) int {
+func runEngine(name string, prog *ir.Program, trace []core.Arrival, workers int, verify bool, metricsOut string) int {
 	cfg := dataplane.Config{
 		Workers:           workers,
 		RecordOutputs:     verify,
@@ -298,21 +297,38 @@ func runDataplane(prog *ir.Program, trace []core.Arrival, workers int, verify bo
 	var reg *telemetry.Registry
 	if metricsOut != "" {
 		reg = telemetry.NewRegistry()
+	}
+	var eng dataplane.Runner
+	if name == "screp" {
+		cfg.Metrics = screp.NewMetrics(reg) // nil reg: all-nil counters
+		eng = screp.New(prog, cfg)
+	} else {
 		cfg.Metrics = dataplane.NewMetrics(reg)
+		eng = dataplane.New(prog, cfg)
 	}
-	eng := dataplane.New(prog, cfg)
 	res := eng.Run(trace)
 
 	fmt.Printf("program            %s (%d stages, %d resolution, %d registers)\n",
 		prog.Name, prog.NumStages(), prog.ResolutionStages, len(prog.Regs))
-	fmt.Printf("engine             dataplane, %d workers (GOMAXPROCS %d)\n",
-		res.Workers, runtime.GOMAXPROCS(0))
+	if name == "screp" {
+		fmt.Printf("engine             screp (state-compute replication), %d replicas (GOMAXPROCS %d)\n",
+			res.Workers, runtime.GOMAXPROCS(0))
+	} else {
+		fmt.Printf("engine             dataplane, %d workers (GOMAXPROCS %d)\n",
+			res.Workers, runtime.GOMAXPROCS(0))
+	}
 	fmt.Printf("packets            %d injected, %d completed\n", res.Injected, res.Completed)
 	fmt.Printf("throughput         %.0f packets/sec (%.2f ms elapsed)\n",
 		res.PktsPerSec, float64(res.Elapsed.Microseconds())/1000)
-	fmt.Printf("crossbar           %d steers, %d parks, %d wasted visits\n",
-		res.Steers, res.Parks, res.Wasted)
-	fmt.Printf("shard moves        %d\n", res.ShardMoves)
+	if name == "screp" {
+		fmt.Printf("replication        %d deltas published, %d writes replayed (%.2f per packet)\n",
+			res.DeltasPublished, res.WritesReplayed,
+			float64(res.WritesReplayed)/float64(max(res.Injected, 1)))
+	} else {
+		fmt.Printf("crossbar           %d steers, %d parks, %d wasted visits\n",
+			res.Steers, res.Parks, res.Wasted)
+		fmt.Printf("shard moves        %d\n", res.ShardMoves)
+	}
 	fmt.Printf("reordered egress   %d packets\n", res.Reordered)
 	if res.Latency != nil && res.Latency.Total() > 0 {
 		fmt.Printf("latency            p50 %.0f µs, p99 %.0f µs\n",
@@ -331,79 +347,8 @@ func runDataplane(prog *ir.Program, trace []core.Arrival, workers int, verify bo
 		}
 	}
 	if res.Stalled {
-		fmt.Fprintf(os.Stderr, "mp5sim: dataplane stalled (%d of %d packets completed)\n",
-			res.Completed, res.Injected)
-		return 3
-	}
-	if verify {
-		if res.Completed != res.Injected {
-			fmt.Println("equivalence        skipped (packet loss)")
-			return 0
-		}
-		rep := equiv.CheckState(prog, eng.FinalRegs(), eng.Outputs(), trace)
-		if !rep.Equivalent {
-			fmt.Printf("equivalence        FAILED: %d mismatches, e.g. %v\n",
-				len(rep.Mismatches), rep.Mismatches[0])
-			return 1
-		}
-		if !reflect.DeepEqual(equiv.ReferenceOrder(prog, trace), eng.AccessOrders()) {
-			fmt.Println("equivalence        FAILED: C1 access order diverges from the reference")
-			return 1
-		}
-		fmt.Printf("equivalence        OK (%d packets, all registers, C1 order)\n", rep.PacketsCompared)
-	}
-	return 0
-}
-
-// runScrep executes the trace on the state-compute-replication engine and
-// prints the analogous summary; in place of the sharded engine's crossbar
-// columns it reports the replication overhead (published deltas, replayed
-// writes). Verify holds it to the same state/output and C1-order oracles.
-func runScrep(prog *ir.Program, trace []core.Arrival, workers int, verify bool, metricsOut string) int {
-	cfg := screp.Config{
-		Workers:           workers,
-		RecordOutputs:     verify,
-		RecordAccessOrder: verify,
-		RecordEgressOrder: true,
-	}
-	var reg *telemetry.Registry
-	if metricsOut != "" {
-		reg = telemetry.NewRegistry()
-		cfg.Metrics = screp.NewMetrics(reg)
-	}
-	eng := screp.New(prog, cfg)
-	res := eng.Run(trace)
-
-	fmt.Printf("program            %s (%d stages, %d resolution, %d registers)\n",
-		prog.Name, prog.NumStages(), prog.ResolutionStages, len(prog.Regs))
-	fmt.Printf("engine             screp (state-compute replication), %d replicas (GOMAXPROCS %d)\n",
-		res.Workers, runtime.GOMAXPROCS(0))
-	fmt.Printf("packets            %d injected, %d completed\n", res.Injected, res.Completed)
-	fmt.Printf("throughput         %.0f packets/sec (%.2f ms elapsed)\n",
-		res.PktsPerSec, float64(res.Elapsed.Microseconds())/1000)
-	fmt.Printf("replication        %d deltas published, %d writes replayed (%.2f per packet)\n",
-		res.DeltasPublished, res.WritesReplayed,
-		float64(res.WritesReplayed)/float64(max64(res.Injected, 1)))
-	fmt.Printf("reordered egress   %d packets\n", res.Reordered)
-	if res.Latency != nil && res.Latency.Total() > 0 {
-		fmt.Printf("latency            p50 %.0f µs, p99 %.0f µs\n",
-			res.Latency.Quantile(0.5), res.Latency.Quantile(0.99))
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := reg.WriteProm(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if res.Stalled {
-		fmt.Fprintf(os.Stderr, "mp5sim: screp stalled (%d of %d packets completed)\n",
-			res.Completed, res.Injected)
+		fmt.Fprintf(os.Stderr, "mp5sim: %s stalled (%d of %d packets completed)\n",
+			name, res.Completed, res.Injected)
 		return 3
 	}
 	if verify {
@@ -431,13 +376,6 @@ func runScrep(prog *ir.Program, trace []core.Arrival, workers int, verify bool, 
 func randomFieldTrace(prog *ir.Program, packets, k int, seed int64) []core.Arrival {
 	spec := workload.Spec{Packets: packets, Pipelines: k, Seed: seed}
 	return workload.RandomFields(prog, spec)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -1,9 +1,8 @@
 // Command mp5trace validates and summarizes a wire-span JSONL stream (the
 // -trace-jsonl output of mp5d): every span's per-stage durations must sum
-// to its recorded total within a small slack, segments must be
-// non-negative, and the lifecycle must be complete. It prints per-stage
-// aggregates and exits nonzero on any violation — the machine half of the
-// tracing smoke test.
+// exactly to its recorded total, segments must be non-negative, and the
+// lifecycle must be complete. It prints per-stage aggregates and exits
+// nonzero on any violation — the machine half of the tracing smoke test.
 //
 // Usage:
 //
@@ -24,7 +23,6 @@ import (
 )
 
 func main() {
-	slackUs := flag.Int64("slack-us", 1000, "allowed gap between a span's stage sum and its total, µs")
 	minSpans := flag.Int("min-spans", 1, "fail unless at least this many spans are present")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -73,7 +71,7 @@ func main() {
 			sum += r.Ns
 			byStage[r.Stage] = append(byStage[r.Stage], r.Ns)
 		}
-		if gap := sp.TotalNs - sum; gap < 0 || gap > *slackUs*1000 {
+		if sum != sp.TotalNs {
 			fmt.Fprintf(os.Stderr, "mp5trace: pkt %d: stage sum %dns vs total %dns (gap %dns)\n",
 				sp.ID, sum, sp.TotalNs, sp.TotalNs-sum)
 			bad++

@@ -25,6 +25,12 @@
 // it still needs — so the engine is deadlock-free and every slot observes
 // accesses in arrival order, which implies functional equivalence with the
 // single-pipeline reference (checked differentially in internal/fuzz).
+//
+// The sharded engine is one of two state policies run by the same runtime
+// shell (shell.go): internal/screp's state-compute replication is the
+// other. The shell owns the window, the lifecycle, dispatch and egress
+// recording; this package's Engine adds D2 placement, D3 steering, D4
+// tickets and multi-tenant handles, which stay sharded-only.
 package dataplane
 
 import (
@@ -35,15 +41,9 @@ import (
 	"mp5/internal/telemetry"
 )
 
-// Latency histogram shape shared by the per-worker histograms and the
-// merged drain-time result: microseconds in [0, 65536) at 8 µs resolution.
-const (
-	latLo      = 0
-	latHi      = 1 << 16
-	latBuckets = 1 << 13
-)
-
-// Config parameterizes an Engine.
+// Config parameterizes an engine, sharded or replicated (screp.Config is an
+// alias). Seed and RemapInterval steer D2 placement and are ignored by the
+// replicated policy, which has no shard map.
 type Config struct {
 	// Workers is the number of pipeline workers k (one goroutine each);
 	// 0 defaults to runtime.GOMAXPROCS(0).
@@ -77,7 +77,8 @@ type Config struct {
 	// like the simulator's EvAccess stream (required for C1 checking).
 	RecordAccessOrder bool
 	// RecordEgressOrder retains the wall-clock egress sequence so Result
-	// can report Reordered (adds one mutex acquisition per egress).
+	// can report Reordered (adds one atomic increment and one append to a
+	// worker-private slice per egress).
 	RecordEgressOrder bool
 	// StallTimeout aborts the run when no packet egresses for this long
 	// while packets are in flight (a liveness watchdog so differential
@@ -117,9 +118,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Metrics is the telemetry surface of the engine: plain registry counters,
-// updated concurrently by the admitter and all workers (telemetry.Counter
-// is atomic, so a shared Metrics is safe across engines and goroutines).
+// Metrics is the telemetry surface of both engines: plain registry
+// counters, updated concurrently by the admitter and all workers
+// (telemetry.Counter is atomic, so a shared Metrics is safe across engines
+// and goroutines). A policy leaves the counters it never updates nil.
 type Metrics struct {
 	Admitted   *telemetry.Counter
 	Egressed   *telemetry.Counter
@@ -129,10 +131,15 @@ type Metrics struct {
 	ShardMoves *telemetry.Counter
 	Stalls     *telemetry.Counter
 	QuotaShed  *telemetry.Counter
+	// Deltas counts published per-packet write deltas and ReplayedWrites
+	// the register stores re-applied on non-executing replicas (replicated
+	// policy only; see screp.NewMetrics).
+	Deltas         *telemetry.Counter
+	ReplayedWrites *telemetry.Counter
 }
 
-// NewMetrics registers the engine's counters on r (nil r yields all-nil
-// counters, the disabled state).
+// NewMetrics registers the sharded engine's counters on r (nil r yields
+// all-nil counters, the disabled state).
 func NewMetrics(r *telemetry.Registry) *Metrics {
 	return &Metrics{
 		Admitted:   r.NewCounter("dataplane_admitted_total", "packets admitted into the dataplane"),
@@ -146,18 +153,23 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// Result summarizes one Engine.Run.
+// Result summarizes one run of either engine.
 type Result struct {
 	Workers   int
 	Injected  int64
 	Completed int64
 	// Steers counts crossbar forwards; Parks counts ticket waits; Wasted
 	// counts conservative tickets whose access predicate evaluated false;
-	// ShardMoves counts D2 migrations.
+	// ShardMoves counts D2 migrations (sharded policy).
 	Steers     int64
 	Parks      int64
 	Wasted     int64
 	ShardMoves int64
+	// DeltasPublished counts per-packet write deltas placed on the replay
+	// ring; WritesReplayed counts the register stores other replicas
+	// re-applied — the price of replication (replicated policy).
+	DeltasPublished int64
+	WritesReplayed  int64
 	// Reordered counts packets that egressed after a later-arriving packet
 	// (wall-clock reordering the concurrent engine introduces; only
 	// populated with Config.RecordEgressOrder).

@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"mp5/internal/banzai"
 	"mp5/internal/core"
 	"mp5/internal/ir"
-	"mp5/internal/stats"
 )
 
 // regShard is the admitter's view of one register array's placement: which
@@ -27,13 +25,15 @@ type regShard struct {
 	count []int64
 }
 
-// Engine runs compiled MP5 programs on a real goroutine topology (see the
-// package comment for the architecture map). The topology — workers,
-// crossbar mailboxes, the admission-window semaphore — is shared; every
-// loaded program gets its own isolated Handle (registers, ticket queues,
-// shard map, frame pool, optional admission quota), so one engine can serve
-// N tenant programs side by side and hot-add new program versions while
-// traffic flows.
+// Engine runs compiled MP5 programs on a real goroutine topology under the
+// D2 sharding policy (see the package comment for the architecture map).
+// The runtime shell it embeds owns the window, the lifecycle, dispatch and
+// egress recording; the Engine adds placement, steering and tickets. The
+// topology — workers, crossbar mailboxes, the admission-window semaphore —
+// is shared; every loaded program gets its own isolated Handle (registers,
+// ticket queues, shard map, frame pool, optional admission quota), so one
+// engine can serve N tenant programs side by side and hot-add new program
+// versions while traffic flows.
 //
 // It executes either a pre-materialized trace (Run) or an open-ended packet
 // stream (Start/Submit/Drain — Run is implemented on top of the streaming
@@ -44,8 +44,7 @@ type regShard struct {
 // program added — so a one-program engine behaves exactly as before the
 // multi-tenant refactor.
 type Engine struct {
-	cfg Config
-	k   int
+	*Shell[packet]
 
 	workers []*worker
 
@@ -58,49 +57,9 @@ type Engine struct {
 	hScratch []*Handle // admitter-only remap snapshot buffer
 	def      *Handle
 
-	// winCap/winUsed/winAvail form the admission-control semaphore: one
-	// token per in-flight packet, shared by every handle (per-tenant limits
-	// layer on top as Quotas). The serial admitter takes tokens with one
-	// atomic CAS per batch (not per packet); egressing workers return them
-	// with an atomic decrement plus a non-blocking signal on winAvail. The
-	// single-slot signal channel cannot lose a wakeup: the admitter is the
-	// only acquirer and re-checks winUsed after every wake, and a retained
-	// signal merely causes one spurious re-check. Because every in-flight
-	// packet occupies at most one mailbox slot (a coalesced batch occupies
-	// one slot for many packets) and mailboxes are sized to Window, crossbar
-	// sends can never block — the window bound is what makes the topology
-	// deadlock-free.
-	winCap   int64
-	winUsed  atomic.Int64
-	winAvail chan struct{}
-
-	quit  chan struct{} // closed by Run after the trace drains
-	abort chan struct{} // closed by the watchdog on a stall
-	done  chan struct{} // closed when completed == injected
-
-	doneOnce  sync.Once
-	abortOnce sync.Once
-	wg        sync.WaitGroup
-
-	// started flips when Start launches the topology; startT anchors the
-	// run's elapsed time. wdStop/wdWg manage the watchdog goroutine.
-	started bool
-	startT  time.Time
-	wdStop  chan struct{}
-	wdWg    sync.WaitGroup
-
-	// total holds the final injected count, -1 while admission is still
-	// running (workers poll it to detect the last egress).
-	total     atomic.Int64
-	completed atomic.Int64
-	// submitted counts admissions across all handles — the dense global
-	// packet-id space. Written only by the (serial) admitter, read
-	// atomically by the watchdog and health probes.
-	submitted atomic.Int64
-	steers    atomic.Int64
-	wasted    atomic.Int64
-	parks     atomic.Int64
-	stalled   atomic.Bool
+	steers atomic.Int64
+	wasted atomic.Int64
+	parks  atomic.Int64
 	// shardMoves and spray are admitter-local (serial).
 	shardMoves int64
 	spray      int64
@@ -110,68 +69,26 @@ type Engine struct {
 	// owner reads do not need it (remap runs on the admitter goroutine).
 	placeMu sync.Mutex
 
-	// outs[id] is the packet's final header state, written once by the
-	// egressing worker and read after all workers joined. Run preallocates
-	// the slice from the trace length; the streaming mode, which cannot
-	// size it up front, records into per-worker maps merged by Outputs
-	// after the workers join (no egress lock either way).
-	outs [][]int64
-	// egSeq hands out egress sequence numbers; each worker records
-	// (seq, id) pairs privately and Drain merges them into egressOrder
-	// after the workers join — the sharded replacement for a global
-	// egress mutex.
-	egSeq       atomic.Int64
-	egressOrder []int64
-
 	// Admitter-only scratch, reused across SubmitBatch chunks and remap
-	// passes so the hot path allocates nothing. chunk holds the packets of
-	// the batch being admitted, tkSlots the slots with buffered tickets
-	// (slotState.pend), xbuf the per-worker dispatch batches under
-	// assembly (their backing slices come from batchPool and are returned
-	// by the draining worker), remapAgg the per-worker load aggregation.
-	chunk    []*packet
+	// passes so the hot path allocates nothing: tkSlots lists the slots
+	// with buffered tickets (slotState.pend), remapAgg the per-worker load
+	// aggregation.
 	tkSlots  []*slotState
-	xbuf     []*pktBatch
 	remapAgg []int64
-	// batchPool recycles the []*packet slices that ride xbarMsg batches
-	// between the admitter and the workers.
-	batchPool sync.Pool
-
-	met *Metrics
-	trc *Tracer
-
-	// testBeforeExec, when set, runs on the owning worker right before a
-	// visit executes — the white-box hook the stall test uses to wedge a
-	// packet and exercise the watchdog. testAfterTicket runs on the
-	// admitter after tickets are issued but before dispatch — the hook the
-	// abort-retirement tests use to kill the engine at the worst moment.
-	testBeforeExec  func(*packet)
-	testAfterTicket func()
 }
 
 // NewMulti builds an engine with no programs loaded. Call AddProgram at
 // least once before Start; the first program added becomes the default
 // handle behind the single-program API (Submit, Outputs, …).
 func NewMulti(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	e := &Engine{
-		cfg:      cfg,
-		k:        cfg.Workers,
-		winCap:   int64(cfg.Window),
-		winAvail: make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		abort:    make(chan struct{}),
-		done:     make(chan struct{}),
-		met:      cfg.Metrics,
-		trc:      cfg.Tracer,
-	}
-	e.chunk = make([]*packet, 0, cfg.Window)
-	e.xbuf = make([]*pktBatch, cfg.Workers)
-	e.remapAgg = make([]int64, cfg.Workers)
-	e.total.Store(-1)
-	if e.met == nil {
-		e.met = &Metrics{} // all-nil counters: every update is a no-op
-	}
+	e := &Engine{}
+	e.Shell = NewShell(cfg, Policy[packet]{
+		Work:   func(w int) { e.workers[w].run() },
+		Admit:  func(arrs []core.Arrival) { e.SubmitBatch(arrs, nil) },
+		Retire: e.retire,
+		Count:  e.count,
+	})
+	e.remapAgg = make([]int64, e.k)
 	for i := 0; i < e.k; i++ {
 		e.workers = append(e.workers, newWorker(e, i))
 	}
@@ -228,45 +145,6 @@ func (e *Engine) Handles() []*Handle {
 	return append([]*Handle(nil), e.handles...)
 }
 
-// Run drives the whole trace through the default handle and blocks until
-// every packet egressed (or the watchdog aborted a stall). The admitter
-// runs on the calling goroutine: execute the resolution stages, resolve
-// visits, issue tickets in arrival order, dispatch, and periodically remap.
-// Run is the batch shorthand for Start + SubmitBatch + Drain.
-func (e *Engine) Run(arrivals []core.Arrival) *Result {
-	if e.cfg.RecordOutputs {
-		// Sized by the trace so workers can record outputs without a lock;
-		// workers see outs non-nil and skip their streaming maps.
-		e.outs = make([][]int64, len(arrivals))
-	}
-	if len(arrivals) == 0 {
-		return e.result(0, 0)
-	}
-	e.Start()
-	e.SubmitBatch(arrivals, nil)
-	return e.Drain()
-}
-
-// Start launches the worker topology and the liveness watchdog, switching
-// the engine into open-ended ingestion mode: the caller becomes the serial
-// admitter and feeds packets with Submit until Drain. Start must be called
-// exactly once, and Submit only from one goroutine at a time (admission
-// order is the correctness contract — C1 is defined by it).
-func (e *Engine) Start() {
-	if e.started {
-		panic("dataplane: Engine.Start called twice (engines are single-use)")
-	}
-	e.started = true
-	e.startT = time.Now()
-	e.wg.Add(e.k)
-	for _, w := range e.workers {
-		go w.run()
-	}
-	e.wdStop = make(chan struct{})
-	e.wdWg.Add(1)
-	go e.watchdog(e.wdStop, &e.wdWg)
-}
-
 // Submit admits one packet on the default handle: block until the admission
 // window has room (the live admission-control point), resolve and ticket
 // the packet, and dispatch it to its first worker. Returns false when the
@@ -295,7 +173,7 @@ func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span) bool {
 		e.met.QuotaShed.Inc()
 		return false
 	}
-	if e.acquireWindow(1) == 0 {
+	if e.AcquireWindow(1) == 0 {
 		if h.quota != nil {
 			h.quota.release(1)
 		}
@@ -317,25 +195,7 @@ func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span) bool {
 			ref.st.enqueue(id)
 		}
 	}
-	if f := e.testAfterTicket; f != nil {
-		f()
-	}
-	dest := e.destOf(p)
-	// Deterministic abort check between ticketing and dispatch: without it
-	// the dispatch select below could take the (closed) abort case even
-	// with mailbox room, leaving this packet's tickets stranded at queue
-	// heads forever — the ticket-leak bug. Either abort path retires the
-	// packet: tickets cancelled, window token returned, packet recycled.
-	select {
-	case <-e.abort:
-		e.retire(p)
-		return false
-	default:
-	}
-	select {
-	case e.workers[dest].mailbox <- xbarMsg{p: p}:
-	case <-e.abort:
-		e.retire(p)
+	if !e.Send(e.destOf(p), p) {
 		return false
 	}
 	if n := e.submitted.Load(); e.cfg.RemapInterval > 0 && n%int64(e.cfg.RemapInterval) == 0 {
@@ -396,7 +256,7 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span) in
 			}
 			want = q
 		}
-		got := int(e.acquireWindow(want))
+		got := int(e.AcquireWindow(want))
 		if got == 0 {
 			if h.quota != nil {
 				h.quota.release(want)
@@ -436,22 +296,20 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span) in
 					st.pend = append(st.pend, id)
 				}
 			}
-			e.chunk = append(e.chunk, p)
+			e.Stage(e.destOf(p), p)
 		}
 		e.submitted.Store(base + int64(got))
-		// Flush every ticket of the chunk before any packet dispatches: a
-		// dispatched packet must be able to find its own tickets (and park
-		// behind earlier ones) the moment it reaches a worker.
+		// Flush every ticket of the chunk before the staged packets
+		// dispatch: a dispatched packet must be able to find its own
+		// tickets (and park behind earlier ones) the moment it reaches a
+		// worker.
 		for _, st := range e.tkSlots {
 			st.enqueueBatch(st.pend)
 			st.pend = st.pend[:0]
 		}
 		e.tkSlots = e.tkSlots[:0]
 		admitted += got
-		if f := e.testAfterTicket; f != nil {
-			f()
-		}
-		if !e.dispatchChunk() {
+		if !e.Flush() {
 			return admitted
 		}
 		if iv := int64(e.cfg.RemapInterval); iv > 0 && (base+int64(got))%iv == 0 {
@@ -459,51 +317,6 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span) in
 		}
 	}
 	return admitted
-}
-
-// dispatchChunk coalesces the admitted chunk into at most one mailbox send
-// per destination worker (admission order preserved within each batch) and
-// clears the chunk. Returns false when the engine aborted mid-dispatch;
-// undispatched packets are retired in place.
-func (e *Engine) dispatchChunk() bool {
-	for _, p := range e.chunk {
-		dest := e.destOf(p)
-		if e.xbuf[dest] == nil {
-			e.xbuf[dest] = e.getBatch()
-		}
-		e.xbuf[dest].items = append(e.xbuf[dest].items, p)
-	}
-	e.chunk = e.chunk[:0]
-	aborted := false
-	select {
-	case <-e.abort:
-		aborted = true // deterministic pre-check, as in SubmitTo
-	default:
-	}
-	for w := 0; w < e.k; w++ {
-		b := e.xbuf[w]
-		if b == nil {
-			continue
-		}
-		e.xbuf[w] = nil
-		if aborted {
-			for _, p := range b.items {
-				e.retire(p)
-			}
-			e.putBatch(b)
-			continue
-		}
-		select {
-		case e.workers[w].mailbox <- xbarMsg{batch: b}:
-		case <-e.abort:
-			aborted = true
-			for _, p := range b.items {
-				e.retire(p)
-			}
-			e.putBatch(b)
-		}
-	}
-	return !aborted
 }
 
 // destOf returns the packet's first-hop worker: the owner of its first
@@ -519,11 +332,9 @@ func (e *Engine) destOf(p *packet) int {
 	return d
 }
 
-// retire un-admits a packet on the abort path: cancel its tickets, return
-// its window and quota tokens, and recycle it. The packet's id stays
-// consumed (submitted is not rolled back — ids must stay dense) but it will
-// never egress; that is fine because retire only runs on a dead engine,
-// whose results are already discarded as Stalled/incomplete.
+// retire is the sharded Policy.Retire: cancel an undispatched packet's
+// tickets, recycle it, and return its quota token (the shell returns the
+// window token).
 func (e *Engine) retire(p *packet) {
 	for vi := range p.visits {
 		for _, ref := range p.visits[vi].slots {
@@ -535,60 +346,6 @@ func (e *Engine) retire(p *packet) {
 	h.putPacket(p)
 	if h.quota != nil {
 		h.quota.release(1)
-	}
-	e.releaseWindow()
-}
-
-// NextID returns the packet id the next Submit will assign (ids are dense
-// across all handles, starting at 0). Admitter-serial, like Submit: callers
-// that need to index per-packet bookkeeping before the packet can possibly
-// egress read it immediately before the Submit it predicts.
-func (e *Engine) NextID() int64 { return e.submitted.Load() }
-
-// Drain ends admission and blocks until every in-flight packet egressed
-// (or the watchdog aborted), then joins the workers and returns the run
-// summary. After Drain the engine's post-run accessors are valid.
-func (e *Engine) Drain() *Result {
-	if !e.started {
-		return e.result(0, 0)
-	}
-	submitted := e.submitted.Load()
-	e.total.Store(submitted)
-	if e.completed.Load() == submitted {
-		e.closeDone()
-	}
-	select {
-	case <-e.done:
-	case <-e.abort:
-	}
-	close(e.wdStop)
-	e.wdWg.Wait()
-	close(e.quit)
-	e.wg.Wait()
-	e.mergeEgressOrder()
-	return e.result(submitted, time.Since(e.startT))
-}
-
-// mergeEgressOrder stitches the per-worker (seq, id) egress records into
-// the global wall-clock egress sequence. Runs after the workers joined —
-// the Drain-time half of the sharded egress recording that replaced the
-// old global egress mutex.
-func (e *Engine) mergeEgressOrder() {
-	if !e.cfg.RecordEgressOrder {
-		return
-	}
-	n := 0
-	for _, w := range e.workers {
-		n += len(w.egRecs)
-	}
-	recs := make([]egRec, 0, n)
-	for _, w := range e.workers {
-		recs = append(recs, w.egRecs...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-	e.egressOrder = make([]int64, len(recs))
-	for i, r := range recs {
-		e.egressOrder[i] = r.id
 	}
 }
 
@@ -623,60 +380,6 @@ func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival) *packet {
 	h.submitted.Add(1)
 	e.met.Admitted.Inc()
 	return p
-}
-
-// acquireWindow takes up to want admission-window tokens (at least one),
-// blocking while the window is full. Returns the number taken, or 0 when
-// the engine aborted. Admitter-serial — the single-acquirer assumption is
-// what makes the CAS loop plus one-slot wakeup channel race-free.
-func (e *Engine) acquireWindow(want int64) int64 {
-	for {
-		used := e.winUsed.Load()
-		if free := e.winCap - used; free > 0 {
-			n := want
-			if n > free {
-				n = free
-			}
-			if e.winUsed.CompareAndSwap(used, used+n) {
-				return n
-			}
-			continue
-		}
-		select {
-		case <-e.winAvail:
-		case <-e.abort:
-			return 0
-		}
-	}
-}
-
-// releaseWindow returns one token and wakes the admitter if it is waiting
-// (worker-side, at egress or abort-retirement).
-func (e *Engine) releaseWindow() {
-	e.winUsed.Add(-1)
-	select {
-	case e.winAvail <- struct{}{}:
-	default: // a wakeup is already pending; one is enough
-	}
-}
-
-// getBatch/putBatch recycle the packet batches riding coalesced xbarMsg
-// sends. A sync.Pool is fine here (unlike the per-handle packet free
-// lists): losing a batch to GC costs one amortized allocation per chunk,
-// not the packet zero-alloc guarantee.
-func (e *Engine) getBatch() *pktBatch {
-	if v := e.batchPool.Get(); v != nil {
-		return v.(*pktBatch)
-	}
-	return &pktBatch{items: make([]*packet, 0, 64)}
-}
-
-func (e *Engine) putBatch(b *pktBatch) {
-	for i := range b.items {
-		b.items[i] = nil
-	}
-	b.items = b.items[:0]
-	e.batchPool.Put(b)
 }
 
 // resolve performs preemptive address resolution (§3.3) against the
@@ -811,104 +514,13 @@ func (e *Engine) remapHandle(h *Handle) {
 	}
 }
 
-// watchdog aborts the run when no packet egresses for StallTimeout while
-// packets are in flight, so a liveness bug fails tests loudly (Stalled)
-// instead of hanging them. An idle stream (nothing in flight) is healthy,
-// not stalled — essential in streaming mode, where traffic gaps of any
-// length are normal.
-func (e *Engine) watchdog(stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	period := e.cfg.StallTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	last := e.completed.Load()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-e.done:
-			return
-		case <-tick.C:
-			cur := e.completed.Load()
-			if cur != last || cur == e.submitted.Load() {
-				last, lastChange = cur, time.Now()
-				continue
-			}
-			if time.Since(lastChange) >= e.cfg.StallTimeout {
-				e.stalled.Store(true)
-				e.met.Stalls.Inc()
-				e.abortOnce.Do(func() { close(e.abort) })
-				return
-			}
-		}
-	}
-}
-
-func (e *Engine) closeDone() {
-	e.doneOnce.Do(func() { close(e.done) })
-}
-
-// result assembles the run summary after every worker joined.
-func (e *Engine) result(injected int64, elapsed time.Duration) *Result {
-	lat := stats.NewHistogram(latLo, latHi, latBuckets)
-	for _, w := range e.workers {
-		lat.Merge(w.lat)
-	}
-	res := &Result{
-		Workers:    e.k,
-		Injected:   injected,
-		Completed:  e.completed.Load(),
-		Steers:     e.steers.Load(),
-		Parks:      e.parks.Load(),
-		Wasted:     e.wasted.Load(),
-		ShardMoves: e.shardMoves,
-		Stalled:    e.stalled.Load(),
-		Elapsed:    elapsed,
-		Latency:    lat,
-	}
-	if e.cfg.RecordEgressOrder {
-		res.Reordered = core.CountOvertakers(e.egressOrder)
-	}
-	if elapsed > 0 {
-		res.PktsPerSec = float64(res.Completed) / elapsed.Seconds()
-	}
-	return res
-}
-
-// Outputs returns each completed packet's final header fields, keyed by
-// global packet id — the shape equiv.CheckState consumes on a
-// single-program engine (where global ids coincide with arrival indices).
-// Only valid after Run/Drain, and only when Config.RecordOutputs was set.
-// Streaming-mode outputs live in per-worker maps until this merge (no
-// egress lock). Multi-program engines verify per handle with OutputsFor.
-func (e *Engine) Outputs() map[int64][]int64 {
-	if e.outs == nil {
-		if !e.cfg.RecordOutputs {
-			return nil
-		}
-		n := 0
-		for _, w := range e.workers {
-			n += len(w.outs)
-		}
-		out := make(map[int64][]int64, n)
-		for _, w := range e.workers {
-			for id, f := range w.outs {
-				out[id] = f
-			}
-		}
-		return out
-	}
-	out := make(map[int64][]int64, len(e.outs))
-	for id, f := range e.outs {
-		if f != nil {
-			out[int64(id)] = f
-		}
-	}
-	return out
+// count is the sharded Policy.Count: the steering, ticket and placement
+// counters of the run.
+func (e *Engine) count(res *Result) {
+	res.Steers = e.steers.Load()
+	res.Parks = e.parks.Load()
+	res.Wasted = e.wasted.Load()
+	res.ShardMoves = e.shardMoves
 }
 
 // OutputsFor returns handle h's completed packets' final header fields,
@@ -992,36 +604,6 @@ func (e *Engine) AccessOrdersFor(h *Handle) map[string][]int64 {
 	}
 	return out
 }
-
-// EgressOrder returns the wall-clock egress sequence of packet ids (only
-// recorded with Config.RecordEgressOrder).
-func (e *Engine) EgressOrder() []int64 { return e.egressOrder }
-
-// Stalled reports whether the liveness watchdog aborted the engine. Safe
-// to call from any goroutine at any time — the health-probe hook.
-func (e *Engine) Stalled() bool { return e.stalled.Load() }
-
-// Workers returns the resolved worker count k.
-func (e *Engine) Workers() int { return e.k }
-
-// Submitted returns the number of packets admitted so far across all
-// handles (any goroutine).
-func (e *Engine) Submitted() int64 { return e.submitted.Load() }
-
-// Completed returns the number of packets egressed so far (any goroutine).
-func (e *Engine) Completed() int64 { return e.completed.Load() }
-
-// InFlight returns the number of admitted-but-not-yet-egressed packets,
-// bounded by Config.Window (any goroutine).
-func (e *Engine) InFlight() int64 { return e.submitted.Load() - e.completed.Load() }
-
-// WindowInUse returns the number of admission-window tokens currently held
-// (in-flight packets), safe from any goroutine — the live admission-control
-// gauge.
-func (e *Engine) WindowInUse() int { return int(e.winUsed.Load()) }
-
-// WindowCap returns the admission-window size.
-func (e *Engine) WindowCap() int { return int(e.winCap) }
 
 // WorkerStat is one worker's live occupancy/throughput view, in the shape
 // the admin plane serves (/stats) and mp5top renders. Mailbox is the

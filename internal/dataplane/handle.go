@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"mp5/internal/banzai"
@@ -103,10 +102,8 @@ type Handle struct {
 
 	quota *Quota
 
-	// free is this program's packet free list (same bounded mutex-stack
-	// discipline as the old engine-global list; see Engine docs).
-	freeMu sync.Mutex
-	free   []*packet
+	// free is this program's packet free list.
+	free *FreeList[packet]
 
 	// record mirrors RecordOutputs||RecordAccessOrder: when set, idSeq
 	// accumulates the global packet ids admitted through this handle, in
@@ -137,7 +134,7 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 		quota:      quota,
 		record:     e.cfg.RecordOutputs || e.cfg.RecordAccessOrder,
 	}
-	h.free = make([]*packet, 0, e.cfg.Window)
+	h.free = e.NewFreeList()
 	if !e.cfg.Interpret {
 		h.bc = bytecode.MustCompile(prog)
 		h.admVM = bytecode.NewVM(h.bc)
@@ -236,16 +233,10 @@ func (h *Handle) Stats() HandleStats {
 // getPacket pops a recycled packet off this handle's free list, or builds a
 // fresh one shaped for this handle's program. Admitter-only.
 func (h *Handle) getPacket() *packet {
-	h.freeMu.Lock()
-	if n := len(h.free); n > 0 {
-		p := h.free[n-1]
-		h.free[n-1] = nil
-		h.free = h.free[:n-1]
-		h.freeMu.Unlock()
+	if p := h.free.Get(); p != nil {
 		p.h = h // poison-on-free may have clobbered it
 		return p
 	}
-	h.freeMu.Unlock()
 	return &packet{h: h, env: ir.NewEnv(h.prog)}
 }
 
@@ -255,7 +246,5 @@ func (h *Handle) getPacket() *packet {
 // packet so any use-after-recycle fails loudly.
 func (h *Handle) putPacket(p *packet) {
 	poisonPacket(p)
-	h.freeMu.Lock()
-	h.free = append(h.free, p)
-	h.freeMu.Unlock()
+	h.free.Put(p)
 }

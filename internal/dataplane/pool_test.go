@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"reflect"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -24,83 +23,6 @@ func checkEquivalence(t *testing.T, prog *ir.Program, e *Engine, arrivals []core
 	want := equiv.ReferenceOrder(prog, arrivals)
 	if got := e.AccessOrders(); !reflect.DeepEqual(want, got) {
 		t.Fatalf("workers=%d: access orders diverged from reference", workers)
-	}
-}
-
-// TestSubmitSteadyStateAllocs is the zero-alloc acceptance criterion: once
-// the free list and every scratch buffer warmed up, a Submit must perform
-// zero heap allocations — on the admitter *and* on the workers, since
-// AllocsPerRun counts process-wide mallocs.
-func TestSubmitSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counting is meaningless under -race (the race runtime allocates)")
-	}
-	prog, err := apps.Synthetic(4, 64, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 2048, Pipelines: 2, Seed: 11}, 4, 64)
-	e := New(prog, Config{Workers: 2, Window: 64})
-	e.Start()
-	// Warmup: populate the free list, grow every visit/slot/queue buffer to
-	// its steady capacity, and cross a few remap boundaries.
-	for i := range arrivals {
-		if !e.Submit(&arrivals[i]) {
-			t.Fatal("engine aborted during warmup")
-		}
-	}
-	i := 0
-	avg := testing.AllocsPerRun(500, func() {
-		if !e.Submit(&arrivals[i%len(arrivals)]) {
-			t.Fatal("engine aborted mid-measurement")
-		}
-		i++
-	})
-	res := e.Drain()
-	if res.Stalled {
-		t.Fatalf("engine stalled: %d of %d completed", res.Completed, res.Injected)
-	}
-	if avg != 0 {
-		t.Fatalf("steady-state Submit allocates %v per packet, want 0", avg)
-	}
-}
-
-// TestSubmitBatchSteadyStateAllocs holds the coalesced path to (almost) the
-// same bar: a whole SubmitBatch chunk must not allocate beyond the slack of
-// its sync.Pool-backed batch carriers. GC is disabled during the
-// measurement so a collection cannot drain the batch pool mid-run.
-func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counting is meaningless under -race (the race runtime allocates)")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	prog, err := apps.Synthetic(4, 64, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 2048, Pipelines: 2, Seed: 12}, 4, 64)
-	e := New(prog, Config{Workers: 2, Window: 64})
-	e.Start()
-	const chunk = 128
-	for off := 0; off+chunk <= len(arrivals); off += chunk {
-		if e.SubmitBatch(arrivals[off:off+chunk], nil) != chunk {
-			t.Fatal("engine aborted during warmup")
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if e.SubmitBatch(arrivals[:chunk], nil) != chunk {
-			t.Fatal("engine aborted mid-measurement")
-		}
-	})
-	res := e.Drain()
-	if res.Stalled {
-		t.Fatalf("engine stalled: %d of %d completed", res.Completed, res.Injected)
-	}
-	// One batch call covers `chunk` packets; allow a couple of stray
-	// allocations per call (slot-queue growth on unlucky skew) without
-	// letting a per-packet regression (≥ chunk allocs/call) through.
-	if avg > 2 {
-		t.Fatalf("steady-state SubmitBatch allocates %v per %d-packet batch, want ~0", avg, chunk)
 	}
 }
 
@@ -147,90 +69,6 @@ func TestSubmitBatchChunkedEquivalence(t *testing.T) {
 			t.Fatalf("chunk=%d: %d of %d completed (stalled=%v)", chunk, res.Completed, len(arrivals), res.Stalled)
 		}
 		checkEquivalence(t, prog, e, arrivals, 4)
-	}
-}
-
-// TestSubmitAbortRetiresTickets is the regression test for the abort-path
-// ticket leak: Submit used to enqueue tickets and then leave them stranded
-// forever if the engine aborted before the crossbar dispatch. Now the
-// abort path must cancel the tickets, return the window token, and recycle
-// the packet.
-func TestSubmitAbortRetiresTickets(t *testing.T) {
-	prog, err := apps.Synthetic(2, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 4, Pipelines: 2, Seed: 15}, 2, 16)
-	e := New(prog, Config{Workers: 2, Window: 8})
-	e.Start()
-	// Kill the engine at the worst possible moment: after the packet's
-	// tickets are enqueued, before it dispatches.
-	e.testAfterTicket = func() {
-		e.abortOnce.Do(func() { close(e.abort) })
-	}
-	if e.Submit(&arrivals[0]) {
-		t.Fatal("Submit succeeded on an engine that aborted mid-admission")
-	}
-	if pend, _ := e.TicketDepths(); pend != 0 {
-		t.Fatalf("aborted Submit leaked %d tickets", pend)
-	}
-	if got := e.WindowInUse(); got != 0 {
-		t.Fatalf("aborted Submit leaked %d window tokens", got)
-	}
-	e.def.freeMu.Lock()
-	freed := len(e.def.free)
-	e.def.freeMu.Unlock()
-	if freed != 1 {
-		t.Fatalf("aborted Submit did not recycle the packet (free list has %d)", freed)
-	}
-	// A dead engine must refuse further admissions without consuming ids.
-	before := e.Submitted()
-	if e.Submit(&arrivals[1]) {
-		t.Fatal("Submit succeeded on a dead engine")
-	}
-	if e.Submitted() != before {
-		t.Fatal("dead-engine Submit consumed a packet id")
-	}
-	res := e.Drain()
-	if res.Completed != 0 {
-		t.Fatalf("retired packets egressed: completed=%d", res.Completed)
-	}
-}
-
-// TestSubmitBatchAbortRetiresTickets is the batched twin: a chunk whose
-// tickets are already flushed when the engine dies must be retired wholesale
-// — no pending tickets, no held window tokens, every packet recycled.
-func TestSubmitBatchAbortRetiresTickets(t *testing.T) {
-	prog, err := apps.Synthetic(2, 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	arrivals := workload.Synthetic(prog, workload.Spec{Packets: n, Pipelines: 2, Seed: 16}, 2, 16)
-	e := New(prog, Config{Workers: 2, Window: 16})
-	e.Start()
-	e.testAfterTicket = func() {
-		e.abortOnce.Do(func() { close(e.abort) })
-	}
-	admitted := e.SubmitBatch(arrivals, nil)
-	if admitted != n {
-		t.Fatalf("SubmitBatch admitted %d of %d (ids must stay dense even on abort)", admitted, n)
-	}
-	if pend, _ := e.TicketDepths(); pend != 0 {
-		t.Fatalf("aborted SubmitBatch leaked %d tickets", pend)
-	}
-	if got := e.WindowInUse(); got != 0 {
-		t.Fatalf("aborted SubmitBatch leaked %d window tokens", got)
-	}
-	e.def.freeMu.Lock()
-	freed := len(e.def.free)
-	e.def.freeMu.Unlock()
-	if freed != n {
-		t.Fatalf("aborted SubmitBatch recycled %d of %d packets", freed, n)
-	}
-	res := e.Drain()
-	if res.Completed != 0 {
-		t.Fatalf("retired packets egressed: completed=%d", res.Completed)
 	}
 }
 

@@ -244,7 +244,7 @@ func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// Kill the engine after alpha's chunk tickets flush, before dispatch.
-	e.testAfterTicket = func() {
+	e.testBeforeDispatch = func() {
 		e.abortOnce.Do(func() { close(e.abort) })
 	}
 	admitted := e.SubmitBatchTo(hA, arrs, nil)
@@ -260,10 +260,7 @@ func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 	if got := q.InUse(); got != 0 {
 		t.Fatalf("abort leaked %d quota tokens", got)
 	}
-	hA.freeMu.Lock()
-	freed := len(hA.free)
-	hA.freeMu.Unlock()
-	if freed != n {
+	if freed := hA.free.len(); freed != n {
 		t.Fatalf("abort recycled %d of %d alpha packets", freed, n)
 	}
 	e.Drain()

@@ -98,8 +98,8 @@ type StageRec struct {
 
 // Span is one sampled packet's wire-to-wire lifecycle: a start stamp taken
 // at server decode and an ordered list of stage segments whose durations
-// sum to TotalNs (each Advance accrues exactly the time since the previous
-// stamp). Spans are packet-owned while live — no locking — and immutable
+// sum exactly to TotalNs (each Advance accrues exactly the time since the
+// previous stamp, and TotalNs is sealed from the last stamp). Spans are packet-owned while live — no locking — and immutable
 // once handed to the collector.
 type Span struct {
 	Type    string     `json:"type"` // always "wire_span"
@@ -252,12 +252,14 @@ func (t *Tracer) Sample() *Span {
 
 // finish seals the span and hands it to the collector without ever
 // blocking the egressing worker: a full collector queue drops the span
-// (counted), never back-pressures the dataplane.
+// (counted), never back-pressures the dataplane. TotalNs is the span's
+// last stamp, not a fresh clock read, so the stage durations sum to it
+// exactly however long the worker is preempted before finishing.
 func (t *Tracer) finish(sp *Span) {
 	if t == nil || sp == nil {
 		return
 	}
-	sp.TotalNs = int64(time.Since(sp.t0))
+	sp.TotalNs = int64(sp.last)
 	if t.closed.Load() {
 		t.pool.Put(sp)
 		return
@@ -270,12 +272,6 @@ func (t *Tracer) finish(sp *Span) {
 		t.pool.Put(sp)
 	}
 }
-
-// Finish seals sp and hands it to the collector — the exported entry point
-// for engines outside this package (internal/screp shares the tracer so
-// both parallelization strategies feed one span pipeline). Never blocks;
-// same drop-when-full contract as the internal finish.
-func (t *Tracer) Finish(sp *Span) { t.finish(sp) }
 
 // collect is the off-hot-path merge loop: fold each finished span into the
 // per-stage histograms and stream it to the sink.

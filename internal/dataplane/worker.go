@@ -7,7 +7,6 @@ import (
 
 	"mp5/internal/banzai"
 	"mp5/internal/ir"
-	"mp5/internal/stats"
 )
 
 // packet is one in-flight packet: its execution environment, its resolved
@@ -52,32 +51,6 @@ type slotRef struct {
 	st  *slotState
 }
 
-// xbarMsg is one crossbar mailbox transfer: a single packet (Submit's
-// dispatch) or a coalesced batch — an admission chunk's per-worker run
-// (SubmitBatch) or a worker's accumulated steers for one destination,
-// flushed when its mailbox runs dry. A batch occupies one mailbox slot
-// for many packets, so coalescing only strengthens the
-// mailboxes-never-fill invariant.
-type xbarMsg struct {
-	p     *packet
-	batch *pktBatch
-}
-
-// pktBatch is the recycled carrier behind coalesced sends (see
-// Engine.getBatch/putBatch).
-type pktBatch struct {
-	items []*packet
-}
-
-// egRec is one worker-private egress record: seq is drawn from the
-// engine's global atomic counter at egress time, so sorting the merged
-// records by seq reconstructs the wall-clock egress order without a
-// global lock on the egress path.
-type egRec struct {
-	seq int64
-	id  int64
-}
-
 // worker is one pipeline mapped onto one goroutine. For every loaded
 // handle it owns one private register file (h.wregs[w.id]) — only the
 // indices the handle's sharding map assigns to it hold the live copy —
@@ -86,11 +59,12 @@ type egRec struct {
 // park-or-proceed decision and the promotion after a pop are serialized on
 // one goroutine and cannot lose a wakeup. Program state (stages, bytecode,
 // VMs, register files) is reached through p.h, never stored on the worker:
-// a worker is pure topology.
+// a worker is pure topology. Its mailbox and egress records live in the
+// embedded shell lane.
 type worker struct {
-	id      int
-	e       *Engine
-	mailbox chan xbarMsg
+	*Lane[packet]
+	id int
+	e  *Engine
 	// parked holds packets that reached their visit before holding every
 	// head ticket; runnable holds packets promoted by a pop and drained
 	// before the next mailbox receive.
@@ -101,14 +75,8 @@ type worker struct {
 	// first-touch order. Flushed (one batch send per destination) whenever
 	// the mailbox runs dry — and always before blocking on it, so a
 	// buffered packet another worker needs can never be stranded.
-	xout     []*pktBatch
+	xout     []*Batch[packet]
 	xoutPend []int
-	// outs collects streaming-mode egress outputs worker-privately (merged
-	// by Engine.Outputs after the join); egRecs collects (seq, id) egress
-	// records merged into the global order at Drain. Both replace the old
-	// engine-wide egress mutex.
-	outs   map[int64][]int64
-	egRecs []egRec
 	// seen and touched are per-visit scratch (dedup of (reg, clamped idx)
 	// within one stage execution, and the concrete indices touched per
 	// visit slot). touched grows on demand to the widest visit seen —
@@ -123,10 +91,6 @@ type worker struct {
 	obsP *packet
 	obsV *visit
 	obsT [][]int
-	// lat is the worker-private latency histogram, merged by the engine
-	// after the goroutine joins (the share-nothing stats.Histogram
-	// pattern).
-	lat *stats.Histogram
 	// Live occupancy counters for WorkerStats: parked packets, process
 	// invocations, egresses, and (tracer-gated) busy wall time.
 	parkedN    atomic.Int64
@@ -137,16 +101,12 @@ type worker struct {
 
 func newWorker(e *Engine, id int) *worker {
 	w := &worker{
-		id:      id,
-		e:       e,
-		mailbox: make(chan xbarMsg, e.cfg.Window),
-		xout:    make([]*pktBatch, e.cfg.Workers),
-		parked:  make(map[int64]*packet),
-		seen:    make(map[[2]int]bool),
-		lat:     stats.NewHistogram(latLo, latHi, latBuckets),
-	}
-	if e.cfg.RecordOutputs {
-		w.outs = make(map[int64][]int64) // streaming mode; unused when Run preallocates e.outs
+		Lane:   e.Lane(id),
+		id:     id,
+		e:      e,
+		xout:   make([]*Batch[packet], e.k),
+		parked: make(map[int64]*packet),
+		seen:   make(map[[2]int]bool),
 	}
 	w.obs = w.observe
 	return w
@@ -157,7 +117,6 @@ func newWorker(e *Engine, id int) *worker {
 // while), and only after flushing those steers block on the mailbox until
 // the engine shuts down.
 func (w *worker) run() {
-	defer w.e.wg.Done()
 	for {
 		for n := len(w.runnable); n > 0; n = len(w.runnable) {
 			p := w.runnable[n-1]
@@ -173,24 +132,19 @@ func (w *worker) run() {
 		// arriving, keep processing and let steers pile into xout. Total
 		// undelivered messages are bounded by the window, so this cannot
 		// starve the flush below.
-		select {
-		case m := <-w.mailbox:
+		if m, ok := w.TryRecv(); ok {
 			w.handle(m)
 			continue
-		default:
 		}
 		// Nothing runnable and the mailbox is dry: flush the coalesced
 		// steers (their holders may be the only packets able to make
 		// progress), then block.
 		w.flushSteers()
-		select {
-		case m := <-w.mailbox:
-			w.handle(m)
-		case <-w.e.quit:
-			return
-		case <-w.e.abort:
+		m, ok := w.Recv()
+		if !ok {
 			return
 		}
+		w.handle(m)
 	}
 }
 
@@ -198,23 +152,23 @@ func (w *worker) run() {
 // admission chunk or another worker's steer flush), or a single packet.
 // Promotions triggered by earlier batch members queue on runnable and
 // drain before the next mailbox receive.
-func (w *worker) handle(m xbarMsg) {
-	if m.batch != nil {
-		for _, p := range m.batch.items {
+func (w *worker) handle(m Msg[packet]) {
+	if m.Batch != nil {
+		for _, p := range m.Batch.Items {
 			if p.span != nil {
 				p.span.Advance(StageCrossbar, w.id)
 			}
 			w.process(p)
 		}
-		w.e.putBatch(m.batch)
+		w.e.PutBatch(m.Batch)
 		return
 	}
-	if m.p.span != nil {
+	if m.P.span != nil {
 		// The elapsed segment is the crossbar hop: mailbox queueing plus
 		// transit (initial dispatch or a steer).
-		m.p.span.Advance(StageCrossbar, w.id)
+		m.P.span.Advance(StageCrossbar, w.id)
 	}
-	w.process(m.p)
+	w.process(m.P)
 }
 
 // bufferSteer parks an outgoing steer in the per-destination batch instead
@@ -227,7 +181,7 @@ func (w *worker) bufferSteer(dest int, p *packet) {
 		w.xout[dest] = b
 		w.xoutPend = append(w.xoutPend, dest)
 	}
-	b.items = append(b.items, p)
+	b.Items = append(b.Items, p)
 }
 
 // flushSteers sends every buffered steer batch to its destination worker,
@@ -242,7 +196,7 @@ func (w *worker) flushSteers() {
 		b := w.xout[d]
 		w.xout[d] = nil
 		select {
-		case w.e.workers[d].mailbox <- xbarMsg{batch: b}:
+		case w.e.lanes[d].mailbox <- Msg[packet]{Batch: b}:
 		case <-w.e.abort:
 			return
 		}
@@ -308,9 +262,6 @@ func (w *worker) process(p *packet) {
 				p.span.Advance(StageExec, w.id)
 			}
 			return
-		}
-		if f := e.testBeforeExec; f != nil {
-			f(p)
 		}
 		w.execVisit(p, v)
 		p.vi++
@@ -399,51 +350,19 @@ func (w *worker) execVisit(p *packet, v *visit) {
 	}
 }
 
-// egress completes the packet: record outputs and egress order (both into
-// worker-private shards — no lock on the egress path), notify the OnEgress
-// hook, recycle the packet, release the window token, and close the
-// engine's done gate on the last packet.
+// egress completes the packet: the lane records it (outputs, egress
+// order, latency, OnEgress, span), then the packet is recycled and its
+// quota and window tokens returned — in that order, so the admitter can
+// only reuse the id slot after the packet is safely on the free list.
 func (w *worker) egress(p *packet) {
-	e := w.e
-	if p.span != nil {
-		// Close the final exec segment; everything from here to the
-		// finish — output recording and the OnEgress hook (the TCP ack
-		// enqueue on the server path) — is the egress segment.
-		p.span.Advance(StageExec, w.id)
-	}
-	if e.outs != nil {
-		e.outs[p.id] = append([]int64(nil), p.env.Fields...)
-	} else if w.outs != nil {
-		// Streaming mode: worker-private map, merged by Engine.Outputs.
-		w.outs[p.id] = append([]int64(nil), p.env.Fields...)
-	}
-	if e.cfg.RecordEgressOrder {
-		w.egRecs = append(w.egRecs, egRec{seq: e.egSeq.Add(1), id: p.id})
-	}
-	w.lat.Add(float64(time.Since(p.start).Microseconds()))
+	w.Egress(p.id, p.env.Fields, p.start, p.span)
+	p.span = nil // the tracer owns (and recycles) the span now
 	w.egressedN.Add(1)
-	e.met.Egressed.Inc()
-	if f := e.cfg.OnEgress; f != nil {
-		f(p.id)
-	}
-	if p.span != nil {
-		p.span.Advance(StageEgress, w.id)
-		e.trc.finish(p.span)
-		p.span = nil // the tracer owns (and recycles) the span now
-	}
-	// Every observer — outputs copy, access log (written at pop), egress
-	// record, span, OnEgress — is done with the packet: recycle it, then
-	// return the quota and window tokens so the admitter can only reuse the
-	// id slot after the packet is safely on the free list.
 	h := p.h
 	h.putPacket(p)
 	if h.quota != nil {
 		h.quota.release(1)
 	}
 	h.completed.Add(1)
-	e.releaseWindow()
-	c := e.completed.Add(1)
-	if t := e.total.Load(); t >= 0 && c == t {
-		e.closeDone()
-	}
+	w.e.Complete()
 }

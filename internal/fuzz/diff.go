@@ -337,76 +337,34 @@ func (r *reference) runBytecode() *Failure {
 	return nil
 }
 
-// runDataplane executes the case on the concurrent goroutine dataplane with
-// the given worker count and holds it to the same oracles as the simulator:
-// liveness (no watchdog stall), loss-freedom, C1 per-slot access order, and
-// final registers plus packet outputs. single selects the per-packet Submit
+// runEngine executes the case on one of the two concurrent engines —
+// EngineDataplane (D2 index sharding) or EngineScrep (state-compute
+// replication), both run by the dataplane shell — with the given worker
+// count, and holds it to the same oracles as the simulator: liveness (no
+// watchdog stall), loss-freedom, C1 per-slot access order, and final
+// registers plus packet outputs. single selects the per-packet Submit
 // admission path instead of Run's coalesced SubmitBatch, so both hot paths
-// (and the packet recycling both share) stay differentially checked.
-func (r *reference) runDataplane(workers int, single bool) *Failure {
-	fail := &Failure{Engine: EngineDataplane, Arch: core.ArchMP5, Workers: workers, Executor: r.execName()}
+// (and the packet recycling both share) stay differentially checked. Under
+// replication an order or state divergence means the delta replay chain
+// broke — the failure mode replication trades the shard map away for.
+func (r *reference) runEngine(engine string, workers int, single bool) *Failure {
+	fail := &Failure{Engine: engine, Arch: core.ArchMP5, Workers: workers, Executor: r.execName()}
 	if single {
 		fail.Submit = SubmitSingle
 	}
-	eng := dataplane.New(r.prog, dataplane.Config{
+	cfg := dataplane.Config{
 		Workers:           workers,
 		RecordOutputs:     true,
 		RecordAccessOrder: true,
 		Interpret:         r.interp,
-	})
-	var res *dataplane.Result
-	if single {
-		eng.Start()
-		for i := range r.arrivals {
-			if !eng.Submit(&r.arrivals[i]) {
-				break
-			}
-		}
-		res = eng.Drain()
+	}
+	var eng dataplane.Runner
+	if engine == EngineScrep {
+		eng = screp.New(r.prog, cfg)
 	} else {
-		res = eng.Run(r.arrivals)
+		eng = dataplane.New(r.prog, cfg)
 	}
-	if res.Stalled {
-		fail.Reason = "stall"
-		fail.Detail = fmt.Sprintf("%d of %d completed before the watchdog fired", res.Completed, res.Injected)
-		return fail
-	}
-	if res.Completed != res.Injected {
-		fail.Reason = "loss"
-		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
-		return fail
-	}
-	if divs := diffOrders(r.order, eng.AccessOrders()); len(divs) > 0 {
-		fail.Reason = "order"
-		fail.Order = divs
-		return fail
-	}
-	if rep := equiv.CheckState(r.prog, eng.FinalRegs(), eng.Outputs(), r.arrivals); !rep.Equivalent {
-		fail.Reason = "state"
-		fail.Report = rep
-		return fail
-	}
-	return nil
-}
-
-// runScrep executes the case on the state-compute-replication engine with
-// the given replica count and holds it to the same oracles as the sharded
-// dataplane: liveness, loss-freedom, C1 per-slot access order, and final
-// registers plus packet outputs. Since every replica holds the full state,
-// an order or state divergence here means the delta replay chain broke —
-// the exact failure mode replication trades the shard map away for.
-func (r *reference) runScrep(workers int, single bool) *Failure {
-	fail := &Failure{Engine: EngineScrep, Arch: core.ArchMP5, Workers: workers, Executor: r.execName()}
-	if single {
-		fail.Submit = SubmitSingle
-	}
-	eng := screp.New(r.prog, screp.Config{
-		Workers:           workers,
-		RecordOutputs:     true,
-		RecordAccessOrder: true,
-		Interpret:         r.interp,
-	})
-	var res *screp.Result
+	var res *dataplane.Result
 	if single {
 		eng.Start()
 		for i := range r.arrivals {
@@ -678,30 +636,20 @@ func RunEngines(c *Case, archs []core.Arch, only string) []*Failure {
 			fails = append(fails, f)
 		}
 	}
-	if want(EngineDataplane) {
+	for _, engine := range []string{EngineDataplane, EngineScrep} {
+		if !want(engine) {
+			continue
+		}
+		// Both concurrent engines answer to the identical differential
+		// contract: the worker sweep exercises the batched admission path,
+		// and one per-packet-Submit run keeps the single-packet path (and
+		// its distinct dispatch interleaving) under the same three oracles.
 		for _, w := range DataplaneWorkers {
-			if f := ref.runDataplane(w, false); f != nil {
+			if f := ref.runEngine(engine, w, false); f != nil {
 				fails = append(fails, f)
 			}
 		}
-		// One per-packet-Submit dataplane run: the sweep above exercises the
-		// batched admission path, so this leg keeps the single-packet path
-		// (and its distinct ticket/dispatch interleaving) under the same
-		// three oracles.
-		if f := ref.runDataplane(2, true); f != nil {
-			fails = append(fails, f)
-		}
-	}
-	if want(EngineScrep) {
-		// Replication leg: same worker sweep and same oracles as the sharded
-		// engine, plus one per-packet-Submit run — so both strategies answer
-		// to the identical differential contract on every case.
-		for _, w := range DataplaneWorkers {
-			if f := ref.runScrep(w, false); f != nil {
-				fails = append(fails, f)
-			}
-		}
-		if f := ref.runScrep(2, true); f != nil {
+		if f := ref.runEngine(engine, 2, true); f != nil {
 			fails = append(fails, f)
 		}
 	}
@@ -748,10 +696,8 @@ func runLike(c *Case, like *Failure) *Failure {
 		return ref.runBytecode()
 	case EngineSweep:
 		return ref.runCore(core.ArchMP5, c.WorkSeed, true)
-	case EngineDataplane:
-		return ref.runDataplane(like.Workers, like.Submit == SubmitSingle)
-	case EngineScrep:
-		return ref.runScrep(like.Workers, like.Submit == SubmitSingle)
+	case EngineDataplane, EngineScrep:
+		return ref.runEngine(like.Engine, like.Workers, like.Submit == SubmitSingle)
 	case EngineMultiTenant:
 		workers := like.Workers
 		if workers <= 0 {

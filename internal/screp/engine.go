@@ -1,8 +1,6 @@
 package screp
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,19 +12,20 @@ import (
 )
 
 // Engine runs compiled MP5 programs under state-compute replication (see
-// the package comment for the model). It intentionally mirrors the
-// dataplane engine's surface — Start/Submit/SubmitBatch/Drain plus the
-// post-run accessors — so callers (the fuzz driver, mp5sim, mp5bench) can
-// swap parallelization strategies behind one shape. An Engine is
-// single-use: construct with New, drive one trace or stream, then read
-// the post-run accessors.
+// the package comment for the model). It embeds the dataplane runtime
+// shell, so its surface — Start/Submit/SubmitBatch/Drain plus the post-run
+// accessors — is the sharded engine's, and callers (the fuzz driver,
+// mp5sim, perfbench) drive either through dataplane.Runner. An Engine is
+// single-use: construct with New, drive one trace or stream, then read the
+// post-run accessors.
 //
 // Unlike the sharded engine, screp needs no resolution metadata: with no
 // preemptive address resolution there is nothing to resolve at admission,
 // so any compiled program runs (TargetMP5 or not).
 type Engine struct {
-	cfg  Config
-	k    int
+	*dataplane.Shell[packet]
+
+	k    int64
 	prog *ir.Program
 	// bc is the shared compiled program (nil under Config.Interpret);
 	// every worker owns a private VM over it.
@@ -41,6 +40,8 @@ type Engine struct {
 
 	workers []*worker
 	ring    *deltaLog
+	free    *dataplane.FreeList[packet]
+	met     *Metrics
 
 	// orders is the shared C1 access-order log, keyed (reg, clamped idx).
 	// It needs no lock: appends happen only inside a packet's stateful
@@ -50,83 +51,25 @@ type Engine struct {
 	// edges the race detector also sees. Nil unless RecordAccessOrder.
 	orders map[[2]int][]int64
 
-	// winCap/winUsed/winAvail form the admission-control semaphore,
-	// identical in discipline to the sharded engine's: the serial admitter
-	// is the only acquirer (CAS loop), egressing workers release with an
-	// atomic decrement plus a non-blocking wakeup. Mailboxes are sized to
-	// Window and every in-flight packet occupies at most one mailbox slot,
-	// so dispatch sends never block.
-	winCap   int64
-	winUsed  atomic.Int64
-	winAvail chan struct{}
-
-	quit  chan struct{} // closed by Drain after the stream ends
-	abort chan struct{} // closed by the watchdog on a stall
-	done  chan struct{} // closed when completed == injected
-
-	doneOnce  sync.Once
-	abortOnce sync.Once
-	wg        sync.WaitGroup
-
-	started bool
-	startT  time.Time
-	wdStop  chan struct{}
-	wdWg    sync.WaitGroup
-
-	// total holds the final injected count, -1 while admission runs.
-	total     atomic.Int64
-	completed atomic.Int64
-	submitted atomic.Int64
-	stalled   atomic.Bool
 	// frontier is the count of published deltas (highest published seq+1)
 	// — with per-worker applied counters it yields the live replication
 	// lag gauges.
 	frontier atomic.Int64
-
-	// outs[id] is the packet's final header state (Run preallocates;
-	// streaming mode records into per-worker maps merged by Outputs).
-	outs [][]int64
-	// egSeq/egressOrder: sharded egress recording, merged at Drain.
-	egSeq       atomic.Int64
-	egressOrder []int64
-
-	// free is the packet free list (envs are program-shaped, so one
-	// engine-wide list suffices — screp is single-program).
-	freeMu sync.Mutex
-	free   []*packet
-
-	// chunk/xbuf are admitter-only scratch for SubmitBatch; batchPool
-	// recycles the coalesced dispatch carriers.
-	chunk     []*packet
-	xbuf      []*pktBatch
-	batchPool sync.Pool
-
-	met *Metrics
-	trc *dataplane.Tracer
-
-	// testBeforeReplay, when set, runs on the executing worker right
-	// before it replays up to its packet's sequence number — the
-	// white-box hook the stall test uses to wedge a replica.
-	testBeforeReplay func(*packet)
 }
 
 // New builds a replication engine for prog.
 func New(prog *ir.Program, cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	e := &Engine{
-		cfg:           cfg,
-		k:             cfg.Workers,
-		prog:          prog,
-		firstStateful: -1,
-		lastStateful:  -1,
-		winCap:        int64(cfg.Window),
-		winAvail:      make(chan struct{}, 1),
-		quit:          make(chan struct{}),
-		abort:         make(chan struct{}),
-		done:          make(chan struct{}),
-		met:           cfg.Metrics,
-		trc:           cfg.Tracer,
-	}
+	e := &Engine{prog: prog, firstStateful: -1, lastStateful: -1}
+	e.Shell = dataplane.NewShell(cfg, dataplane.Policy[packet]{
+		Work:    func(w int) { e.workers[w].run() },
+		Admit:   func(arrs []core.Arrival) { e.SubmitBatch(arrs, nil) },
+		Retire:  e.retire,
+		Drained: e.converge,
+		Count:   e.count,
+	})
+	cfg = e.Config()
+	e.k = int64(cfg.Workers)
+	e.met = e.Metrics()
 	e.stateful = make([]bool, len(prog.Stages))
 	for i := range prog.Stages {
 		if prog.Stages[i].Stateful() {
@@ -143,52 +86,12 @@ func New(prog *ir.Program, cfg Config) *Engine {
 	if cfg.RecordAccessOrder {
 		e.orders = make(map[[2]int][]int64)
 	}
-	e.ring = newDeltaLog(e.k)
-	e.chunk = make([]*packet, 0, cfg.Window)
-	e.xbuf = make([]*pktBatch, e.k)
-	e.free = make([]*packet, 0, cfg.Window)
-	e.total.Store(-1)
-	if e.met == nil {
-		e.met = &Metrics{} // all-nil counters: every update is a no-op
-	}
-	for i := 0; i < e.k; i++ {
+	e.ring = newDeltaLog(cfg.Workers)
+	e.free = e.NewFreeList()
+	for i := 0; i < cfg.Workers; i++ {
 		e.workers = append(e.workers, newWorker(e, i))
 	}
 	return e
-}
-
-// Run drives the whole trace and blocks until every packet egressed (or
-// the watchdog aborted a stall) — the batch shorthand for
-// Start + SubmitBatch + Drain.
-func (e *Engine) Run(arrivals []core.Arrival) *Result {
-	if e.cfg.RecordOutputs {
-		e.outs = make([][]int64, len(arrivals))
-	}
-	if len(arrivals) == 0 {
-		return e.result(0, 0)
-	}
-	e.Start()
-	e.SubmitBatch(arrivals, nil)
-	return e.Drain()
-}
-
-// Start launches the replica workers and the liveness watchdog, switching
-// the engine into open-ended ingestion mode. Start must be called exactly
-// once, and Submit only from one goroutine at a time — admission order
-// assigns the global sequence numbers that define C1.
-func (e *Engine) Start() {
-	if e.started {
-		panic("screp: Engine.Start called twice (engines are single-use)")
-	}
-	e.started = true
-	e.startT = time.Now()
-	e.wg.Add(e.k)
-	for _, w := range e.workers {
-		go w.run()
-	}
-	e.wdStop = make(chan struct{})
-	e.wdWg.Add(1)
-	go e.watchdog(e.wdStop, &e.wdWg)
 }
 
 // Submit admits one packet: block until the admission window has room,
@@ -203,41 +106,27 @@ func (e *Engine) Submit(a *core.Arrival) bool { return e.SubmitTraced(a, nil) }
 // Submit.
 func (e *Engine) SubmitTraced(a *core.Arrival, sp *dataplane.Span) bool {
 	select {
-	case <-e.abort:
+	case <-e.Aborted():
 		return false // dead engine: refuse before consuming a sequence number
 	default:
 	}
-	if e.acquireWindow(1) == 0 {
+	if e.AcquireWindow(1) == 0 {
 		return false
 	}
-	id := e.submitted.Load()
+	id := e.NextID()
 	if sp != nil {
 		sp.Advance(dataplane.StageWindowWait, -1)
 		sp.ID = id
 	}
 	p := e.prepare(id, a)
-	e.submitted.Add(1)
+	e.Sequence(1)
 	if sp != nil {
 		sp.Advance(dataplane.StageAdmit, -1)
 		p.span = sp
 	}
-	// Deterministic abort check between sequencing and dispatch, then the
-	// guarded send — either abort path retires the packet (window token
-	// returned, packet recycled). The sequence chain tolerates the gap:
-	// retirement only happens on a dead engine whose replicas are exiting.
-	select {
-	case <-e.abort:
-		e.retire(p)
-		return false
-	default:
-	}
-	select {
-	case e.workers[id%int64(e.k)].mailbox <- xbarMsg{p: p}:
-	case <-e.abort:
-		e.retire(p)
-		return false
-	}
-	return true
+	// A retired packet leaves a gap in the sequence chain; retirement only
+	// happens on a dead engine whose replicas are exiting.
+	return e.Send(int(id%e.k), p)
 }
 
 // SubmitBatch admits a run of packets, amortizing the per-packet costs:
@@ -250,12 +139,12 @@ func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*dataplane.Span) int {
 	admitted := 0
 	for admitted < len(arrs) {
 		select {
-		case <-e.abort:
+		case <-e.Aborted():
 			return admitted
 		default:
 		}
-		base := e.submitted.Load()
-		got := int(e.acquireWindow(int64(len(arrs) - admitted)))
+		base := e.NextID()
+		got := int(e.AcquireWindow(int64(len(arrs) - admitted)))
 		if got == 0 {
 			return admitted
 		}
@@ -275,112 +164,38 @@ func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*dataplane.Span) int {
 				sp.Advance(dataplane.StageAdmit, -1)
 				p.span = sp
 			}
-			e.chunk = append(e.chunk, p)
+			e.Stage(int(id%e.k), p)
 		}
-		e.submitted.Store(base + int64(got))
+		e.Sequence(int64(got))
 		admitted += got
-		if !e.dispatchChunk() {
+		if !e.Flush() {
 			return admitted
 		}
 	}
 	return admitted
 }
 
-// dispatchChunk coalesces the admitted chunk into at most one mailbox
-// send per destination worker and clears the chunk. Returns false when
-// the engine aborted mid-dispatch; undispatched packets are retired.
-func (e *Engine) dispatchChunk() bool {
-	for _, p := range e.chunk {
-		dest := int(p.id % int64(e.k))
-		if e.xbuf[dest] == nil {
-			e.xbuf[dest] = e.getBatch()
-		}
-		e.xbuf[dest].items = append(e.xbuf[dest].items, p)
-	}
-	e.chunk = e.chunk[:0]
-	aborted := false
-	select {
-	case <-e.abort:
-		aborted = true
-	default:
-	}
-	for w := 0; w < e.k; w++ {
-		b := e.xbuf[w]
-		if b == nil {
-			continue
-		}
-		e.xbuf[w] = nil
-		if aborted {
-			for _, p := range b.items {
-				e.retire(p)
-			}
-			e.putBatch(b)
-			continue
-		}
-		select {
-		case e.workers[w].mailbox <- xbarMsg{batch: b}:
-		case <-e.abort:
-			aborted = true
-			for _, p := range b.items {
-				e.retire(p)
-			}
-			e.putBatch(b)
-		}
-	}
-	return !aborted
-}
-
-// retire un-admits a packet on the abort path: return its window token
-// and recycle it. Only ever runs on a dead engine.
+// retire is the replication Policy.Retire: recycle an undispatched packet
+// (the shell returns its window token).
 func (e *Engine) retire(p *packet) {
 	p.span = nil
-	e.putPacket(p)
-	e.releaseWindow()
+	e.free.Put(p)
 }
 
 // prepare readies one packet on the admitter: recycle or build a packet
 // and reset its env. The whole admission cost — no resolution stages, no
 // ticket issue — which is the replication strategy's selling point.
 func (e *Engine) prepare(id int64, a *core.Arrival) *packet {
-	p := e.getPacket()
+	p := e.free.Get()
+	if p == nil {
+		p = &packet{env: ir.NewEnv(e.prog)}
+	}
 	p.id = id
 	p.env.ResetFor(a.Fields)
 	p.span = nil
 	p.start = time.Now()
 	e.met.Admitted.Inc()
 	return p
-}
-
-// NextID returns the sequence number the next Submit will assign.
-// Admitter-serial, like Submit.
-func (e *Engine) NextID() int64 { return e.submitted.Load() }
-
-// Drain ends admission and blocks until every in-flight packet egressed
-// (or the watchdog aborted), joins the workers, then converges every
-// replica to the final sequence number so all register files are
-// bit-identical. After Drain the post-run accessors are valid.
-func (e *Engine) Drain() *Result {
-	if !e.started {
-		return e.result(0, 0)
-	}
-	submitted := e.submitted.Load()
-	e.total.Store(submitted)
-	if e.completed.Load() == submitted {
-		e.closeDone()
-	}
-	select {
-	case <-e.done:
-	case <-e.abort:
-	}
-	close(e.wdStop)
-	e.wdWg.Wait()
-	close(e.quit)
-	e.wg.Wait()
-	if !e.stalled.Load() {
-		e.converge(submitted)
-	}
-	e.mergeEgressOrder()
-	return e.result(submitted, time.Since(e.startT))
 }
 
 // converge replays every replica to the final sequence number, after the
@@ -399,190 +214,13 @@ func (e *Engine) converge(total int64) {
 	}
 }
 
-// mergeEgressOrder stitches the per-worker (seq, id) egress records into
-// the global wall-clock egress sequence (Drain-time, workers joined).
-func (e *Engine) mergeEgressOrder() {
-	if !e.cfg.RecordEgressOrder {
-		return
-	}
-	n := 0
+// count is the replication Policy.Count: the deltas published and the
+// writes replayed across all replicas.
+func (e *Engine) count(res *Result) {
 	for _, w := range e.workers {
-		n += len(w.egRecs)
+		res.DeltasPublished += w.deltasN
+		res.WritesReplayed += w.replayedN
 	}
-	recs := make([]egRec, 0, n)
-	for _, w := range e.workers {
-		recs = append(recs, w.egRecs...)
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
-	e.egressOrder = make([]int64, len(recs))
-	for i, r := range recs {
-		e.egressOrder[i] = r.id
-	}
-}
-
-// acquireWindow takes up to want admission-window tokens (at least one),
-// blocking while the window is full. Returns the number taken, or 0 when
-// the engine aborted. Admitter-serial.
-func (e *Engine) acquireWindow(want int64) int64 {
-	for {
-		used := e.winUsed.Load()
-		if free := e.winCap - used; free > 0 {
-			n := want
-			if n > free {
-				n = free
-			}
-			if e.winUsed.CompareAndSwap(used, used+n) {
-				return n
-			}
-			continue
-		}
-		select {
-		case <-e.winAvail:
-		case <-e.abort:
-			return 0
-		}
-	}
-}
-
-// releaseWindow returns one token and wakes the admitter if it is waiting.
-func (e *Engine) releaseWindow() {
-	e.winUsed.Add(-1)
-	select {
-	case e.winAvail <- struct{}{}:
-	default: // a wakeup is already pending; one is enough
-	}
-}
-
-// getPacket/putPacket recycle packets through the engine's free list.
-func (e *Engine) getPacket() *packet {
-	e.freeMu.Lock()
-	if n := len(e.free); n > 0 {
-		p := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		e.freeMu.Unlock()
-		return p
-	}
-	e.freeMu.Unlock()
-	return &packet{env: ir.NewEnv(e.prog)}
-}
-
-func (e *Engine) putPacket(p *packet) {
-	e.freeMu.Lock()
-	e.free = append(e.free, p)
-	e.freeMu.Unlock()
-}
-
-// getBatch/putBatch recycle the coalesced dispatch carriers.
-func (e *Engine) getBatch() *pktBatch {
-	if v := e.batchPool.Get(); v != nil {
-		return v.(*pktBatch)
-	}
-	return &pktBatch{items: make([]*packet, 0, 64)}
-}
-
-func (e *Engine) putBatch(b *pktBatch) {
-	for i := range b.items {
-		b.items[i] = nil
-	}
-	b.items = b.items[:0]
-	e.batchPool.Put(b)
-}
-
-// watchdog aborts the run when no packet egresses for StallTimeout while
-// packets are in flight — the liveness backstop behind the replay spin
-// (an idle stream is healthy, not stalled).
-func (e *Engine) watchdog(stop <-chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	period := e.cfg.StallTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	last := e.completed.Load()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-e.done:
-			return
-		case <-tick.C:
-			cur := e.completed.Load()
-			if cur != last || cur == e.submitted.Load() {
-				last, lastChange = cur, time.Now()
-				continue
-			}
-			if time.Since(lastChange) >= e.cfg.StallTimeout {
-				e.stalled.Store(true)
-				e.met.Stalls.Inc()
-				e.abortOnce.Do(func() { close(e.abort) })
-				return
-			}
-		}
-	}
-}
-
-func (e *Engine) closeDone() {
-	e.doneOnce.Do(func() { close(e.done) })
-}
-
-// result assembles the run summary after every worker joined.
-func (e *Engine) result(injected int64, elapsed time.Duration) *Result {
-	lat := newHistogram()
-	var deltas, replayed int64
-	for _, w := range e.workers {
-		lat.Merge(w.lat)
-		deltas += w.deltasN
-		replayed += w.replayedN
-	}
-	res := &Result{
-		Workers:         e.k,
-		Injected:        injected,
-		Completed:       e.completed.Load(),
-		DeltasPublished: deltas,
-		WritesReplayed:  replayed,
-		Stalled:         e.stalled.Load(),
-		Elapsed:         elapsed,
-		Latency:         lat,
-	}
-	if e.cfg.RecordEgressOrder {
-		res.Reordered = core.CountOvertakers(e.egressOrder)
-	}
-	if elapsed > 0 {
-		res.PktsPerSec = float64(res.Completed) / elapsed.Seconds()
-	}
-	return res
-}
-
-// Outputs returns each completed packet's final header fields, keyed by
-// packet id — the shape equiv.CheckState consumes. Only valid after
-// Run/Drain with Config.RecordOutputs set.
-func (e *Engine) Outputs() map[int64][]int64 {
-	if e.outs == nil {
-		if !e.cfg.RecordOutputs {
-			return nil
-		}
-		n := 0
-		for _, w := range e.workers {
-			n += len(w.outs)
-		}
-		out := make(map[int64][]int64, n)
-		for _, w := range e.workers {
-			for id, f := range w.outs {
-				out[id] = f
-			}
-		}
-		return out
-	}
-	out := make(map[int64][]int64, len(e.outs))
-	for id, f := range e.outs {
-		if f != nil {
-			out[int64(id)] = f
-		}
-	}
-	return out
 }
 
 // FinalRegs returns the final register state. After a clean Drain every
@@ -608,40 +246,13 @@ func (e *Engine) AccessOrders() map[string][]int64 {
 	return out
 }
 
-// EgressOrder returns the wall-clock egress sequence of packet ids (only
-// recorded with Config.RecordEgressOrder).
-func (e *Engine) EgressOrder() []int64 { return e.egressOrder }
-
-// Stalled reports whether the liveness watchdog aborted the engine (any
-// goroutine, any time).
-func (e *Engine) Stalled() bool { return e.stalled.Load() }
-
-// Workers returns the resolved replica count k.
-func (e *Engine) Workers() int { return e.k }
-
-// Submitted returns the number of packets admitted so far (any goroutine).
-func (e *Engine) Submitted() int64 { return e.submitted.Load() }
-
-// Completed returns the number of packets egressed so far (any goroutine).
-func (e *Engine) Completed() int64 { return e.completed.Load() }
-
-// InFlight returns the number of admitted-but-not-yet-egressed packets,
-// bounded by Config.Window (any goroutine).
-func (e *Engine) InFlight() int64 { return e.submitted.Load() - e.completed.Load() }
-
-// WindowInUse returns the number of admission-window tokens currently held.
-func (e *Engine) WindowInUse() int { return int(e.winUsed.Load()) }
-
-// WindowCap returns the admission-window size.
-func (e *Engine) WindowCap() int { return int(e.winCap) }
-
 // ReplicaStats snapshots every replica's live replication gauges: how far
 // each has executed and applied, how many published deltas it still has
 // to replay (Lag — the pending replay depth), and its cumulative replay
 // wait. Safe from any goroutine while the engine runs.
 func (e *Engine) ReplicaStats() []ReplicaStat {
 	front := e.frontier.Load()
-	out := make([]ReplicaStat, e.k)
+	out := make([]ReplicaStat, len(e.workers))
 	for i, w := range e.workers {
 		ap := w.appliedA.Load()
 		lag := front - ap

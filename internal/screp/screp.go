@@ -29,106 +29,43 @@
 //     against equiv.ReferenceOrder in this package's tests and as a fourth
 //     engine leg in internal/fuzz.
 //
-// The trade against sharding is the honest one the benchmarks measure
-// (cmd/mp5bench -dataplane-bench, DESIGN.md §18): replication pays
-// nothing at admission and nothing for steering — stateless and
+// The engine is a state policy inside internal/dataplane's runtime shell,
+// the same shell the sharded engine runs in: the window, lifecycle,
+// dispatch, egress recording and Result are shared, and this package keeps
+// only the spray, the replay ring (replay, publish, converge), its worker
+// loop and ReplicaStats. Multi-tenant handles stay with the sharded policy.
+//
+// The trade against sharding is the one the benchmark ladder measures
+// (perfbench's dataplane.* and screp.* rows, DESIGN.md §18): replication
+// pays nothing at admission and nothing for steering — stateless and
 // read-mostly programs spray perfectly — but every written slot is
 // re-applied by all k replicas, so write-heavy state costs k times the
 // stores and the serialized stateful span bounds the parallel section.
 package screp
 
 import (
-	"runtime"
-	"time"
-
 	"mp5/internal/dataplane"
-	"mp5/internal/stats"
 	"mp5/internal/telemetry"
 )
 
-// Latency histogram shape, matching internal/dataplane so merged results
-// are comparable side by side: microseconds in [0, 65536) at 8 µs
-// resolution.
-const (
-	latLo      = 0
-	latHi      = 1 << 16
-	latBuckets = 1 << 13
-)
+// Config parameterizes an Engine: the shell's configuration, shared with
+// the sharded engine. Seed and RemapInterval have no meaning under
+// replication (there is no shard map) and are ignored.
+type Config = dataplane.Config
 
-// Config parameterizes an Engine. It is deliberately a subset of
-// dataplane.Config — replication has no shard placement to seed and no
-// remap cadence to tune.
-type Config struct {
-	// Workers is the number of replica workers k (one goroutine each, each
-	// holding a full private register file); 0 defaults to
-	// runtime.GOMAXPROCS(0).
-	Workers int
-	// Window bounds the number of in-flight packets (admitted but not yet
-	// egressed); 0 defaults to 256. As in the sharded engine, mailboxes
-	// are sized to the window so crossbar sends never block.
-	Window int
-	// Interpret forces stage execution through the tree-walking ir
-	// interpreter instead of the compiled bytecode VM (the differential
-	// oracle switch, identical to dataplane.Config.Interpret).
-	Interpret bool
-	// RecordOutputs retains each packet's final header fields (required
-	// for equivalence checking via equiv.CheckState).
-	RecordOutputs bool
-	// RecordAccessOrder logs the per-slot effective access order, keyed
-	// like the simulator's EvAccess stream (required for C1 checking).
-	// The log is written inside the globally-serialized stateful span, so
-	// it needs no lock.
-	RecordAccessOrder bool
-	// RecordEgressOrder retains the wall-clock egress sequence so Result
-	// can report Reordered.
-	RecordEgressOrder bool
-	// StallTimeout aborts the run when no packet egresses for this long
-	// while packets are in flight; 0 defaults to 10s. The watchdog is the
-	// liveness backstop behind the replay spin loop.
-	StallTimeout time.Duration
-	// Metrics, when non-nil, receives concurrent counter updates (nil
-	// disables with zero overhead).
-	Metrics *Metrics
-	// Tracer, when non-nil, receives sampled wire-to-wire spans. The
-	// tracer is shared with internal/dataplane — screp stamps the same
-	// window_wait/admit/crossbar/exec/egress segments plus its own
-	// replay_wait stage, so one span pipeline serves both strategies.
-	Tracer *dataplane.Tracer
-	// OnEgress, when non-nil, runs on the egressing worker's goroutine
-	// after outputs are recorded and before the window token is released
-	// (same contract as dataplane.Config.OnEgress).
-	OnEgress func(id int64)
-}
+// Result summarizes one Engine.Run; DeltasPublished and WritesReplayed
+// carry the replication overhead.
+type Result = dataplane.Result
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Window <= 0 {
-		c.Window = 256
-	}
-	if c.StallTimeout <= 0 {
-		c.StallTimeout = 10 * time.Second
-	}
-	return c
-}
-
-// Metrics is the engine's telemetry surface: plain registry counters,
-// updated concurrently by the admitter and all workers.
-type Metrics struct {
-	Admitted *telemetry.Counter
-	Egressed *telemetry.Counter
-	// Deltas counts published per-packet write deltas (one per packet on
-	// stateful programs, including empty deltas that only advance the
-	// sequence chain); ReplayedWrites counts individual register stores
-	// re-applied on non-executing replicas — the replication overhead.
-	Deltas         *telemetry.Counter
-	ReplayedWrites *telemetry.Counter
-	Stalls         *telemetry.Counter
-}
+// Metrics is the engine's telemetry surface; NewMetrics registers the
+// counters replication updates under screp_* names.
+type Metrics = dataplane.Metrics
 
 // NewMetrics registers the engine's counters on r (nil r yields all-nil
-// counters, the disabled state).
+// counters, the disabled state). Deltas counts published per-packet write
+// deltas (one per packet on stateful programs, including empty deltas that
+// only advance the sequence chain); ReplayedWrites counts individual
+// register stores re-applied on non-executing replicas.
 func NewMetrics(r *telemetry.Registry) *Metrics {
 	return &Metrics{
 		Admitted:       r.NewCounter("screp_admitted_total", "packets admitted into the replication engine"),
@@ -139,44 +76,16 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	}
 }
 
-// Result summarizes one Engine.Run.
-type Result struct {
-	Workers   int
-	Injected  int64
-	Completed int64
-	// DeltasPublished counts per-packet write deltas placed on the replay
-	// ring; WritesReplayed counts the individual register stores other
-	// replicas re-applied — the price of replication, the analogue of the
-	// sharded engine's Steers/Parks columns.
-	DeltasPublished int64
-	WritesReplayed  int64
-	// Reordered counts packets that egressed after a later-arriving packet
-	// (only populated with Config.RecordEgressOrder).
-	Reordered int64
-	// Stalled reports a watchdog abort.
-	Stalled bool
-	// Elapsed is the wall-clock run time; PktsPerSec = Completed/Elapsed.
-	Elapsed    time.Duration
-	PktsPerSec float64
-	// Latency is the merged per-worker admission-to-egress latency
-	// histogram in microseconds (same shape as the sharded engine's).
-	Latency *stats.Histogram
-}
-
-// ReplicaStat is one worker's live replication view, in the shape the
-// admin plane serves (/stats) and mp5top renders: Executed counts packets
-// this replica ran itself, Applied is its replay frontier (sequence
-// numbers whose deltas it has applied), Lag is the published-but-unapplied
-// delta count (pending replay depth), and ReplayWaitNs is cumulative wall
-// time spent spinning for unpublished deltas.
+// ReplicaStat is one worker's live replication view: Executed counts
+// packets this replica ran itself, Applied is its replay frontier
+// (sequence numbers whose deltas it has applied), Lag is the
+// published-but-unapplied delta count (pending replay depth), and
+// ReplayWaitNs is cumulative wall time spent spinning for unpublished
+// deltas.
 type ReplicaStat struct {
 	ID           int   `json:"id"`
 	Executed     int64 `json:"executed"`
 	Applied      int64 `json:"applied"`
 	Lag          int64 `json:"lag"`
 	ReplayWaitNs int64 `json:"replay_wait_ns"`
-}
-
-func newHistogram() *stats.Histogram {
-	return stats.NewHistogram(latLo, latHi, latBuckets)
 }

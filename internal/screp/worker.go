@@ -8,7 +8,6 @@ import (
 	"mp5/internal/dataplane"
 	"mp5/internal/ir"
 	"mp5/internal/ir/bytecode"
-	"mp5/internal/stats"
 )
 
 // packet is one in-flight packet. Owned by exactly one goroutine at a
@@ -21,33 +20,15 @@ type packet struct {
 	span  *dataplane.Span // nil for unsampled packets
 }
 
-// xbarMsg is one mailbox transfer: a single packet (Submit) or a
-// coalesced batch (SubmitBatch's per-worker chunk run, in sequence order).
-type xbarMsg struct {
-	p     *packet
-	batch *pktBatch
-}
-
-// pktBatch is the recycled carrier behind coalesced dispatch sends.
-type pktBatch struct {
-	items []*packet
-}
-
-// egRec is one worker-private egress record (seq drawn from the engine's
-// global atomic counter at egress time; merged and sorted at Drain).
-type egRec struct {
-	seq int64
-	id  int64
-}
-
 // worker is one replica mapped onto one goroutine: a full private
 // register file, a private VM, and a replay frontier. It executes the
 // packets whose sequence number is congruent to its id mod k and replays
-// everyone else's write deltas in sequence order.
+// everyone else's write deltas in sequence order. Its mailbox and egress
+// records live in the embedded shell lane.
 type worker struct {
-	id      int
-	e       *Engine
-	mailbox chan xbarMsg
+	*dataplane.Lane[packet]
+	id int
+	e  *Engine
 	// regs is this replica's full private copy of all register state; vm
 	// its private bytecode VM (nil under Config.Interpret).
 	regs *banzai.RegFile
@@ -66,12 +47,6 @@ type worker struct {
 	writeBuf  []regWrite
 	obsID     int64
 	obs       func(reg int, idx int64, write bool)
-	// outs collects streaming-mode egress outputs worker-privately;
-	// egRecs the (seq, id) egress records; lat the private latency
-	// histogram — all merged engine-side after the join.
-	outs   map[int64][]int64
-	egRecs []egRec
-	lat    *stats.Histogram
 	// deltasN/replayedN/waitNs are worker-local run counters (summed at
 	// result time); the atomics mirror the live values for ReplicaStats.
 	deltasN      int64
@@ -84,19 +59,15 @@ type worker struct {
 
 func newWorker(e *Engine, id int) *worker {
 	w := &worker{
+		Lane:      e.Lane(id),
 		id:        id,
 		e:         e,
-		mailbox:   make(chan xbarMsg, e.cfg.Window),
 		regs:      banzai.NewRegFile(e.prog),
 		seen:      make(map[[2]int]bool),
 		dirtySeen: make(map[[2]int]bool),
-		lat:       newHistogram(),
 	}
 	if e.bc != nil {
 		w.vm = bytecode.NewVM(e.bc)
-	}
-	if e.cfg.RecordOutputs {
-		w.outs = make(map[int64][]int64) // streaming mode; unused when Run preallocates e.outs
 	}
 	w.obs = w.observe
 	return w
@@ -108,24 +79,14 @@ func newWorker(e *Engine, id int) *worker {
 // admitter is serial and the channel is FIFO — which the replay frontier
 // relies on.
 func (w *worker) run() {
-	defer w.e.wg.Done()
 	for {
-		select {
-		case m := <-w.mailbox:
-			if !w.handle(m) {
+		m, ok := w.TryRecv()
+		if !ok {
+			if m, ok = w.Recv(); !ok {
 				return
 			}
-			continue
-		default:
 		}
-		select {
-		case m := <-w.mailbox:
-			if !w.handle(m) {
-				return
-			}
-		case <-w.e.quit:
-			return
-		case <-w.e.abort:
+		if !w.handle(m) {
 			return
 		}
 	}
@@ -133,9 +94,9 @@ func (w *worker) run() {
 
 // handle processes one mailbox transfer; false means the engine aborted
 // mid-packet (a replay wait observed the abort) and the loop should exit.
-func (w *worker) handle(m xbarMsg) bool {
-	if m.batch != nil {
-		for _, p := range m.batch.items {
+func (w *worker) handle(m dataplane.Msg[packet]) bool {
+	if m.Batch != nil {
+		for _, p := range m.Batch.Items {
 			if p.span != nil {
 				p.span.Advance(dataplane.StageCrossbar, w.id)
 			}
@@ -143,13 +104,13 @@ func (w *worker) handle(m xbarMsg) bool {
 				return false // dying engine: remaining packets are abandoned
 			}
 		}
-		w.e.putBatch(m.batch)
+		w.e.PutBatch(m.Batch)
 		return true
 	}
-	if m.p.span != nil {
-		m.p.span.Advance(dataplane.StageCrossbar, w.id)
+	if m.P.span != nil {
+		m.P.span.Advance(dataplane.StageCrossbar, w.id)
 	}
-	return w.process(m.p)
+	return w.process(m.P)
 }
 
 // process runs one packet through the full stage program on this replica:
@@ -176,9 +137,6 @@ func (w *worker) process(p *packet) bool {
 	}
 	if p.span != nil {
 		p.span.Advance(dataplane.StageExec, w.id)
-	}
-	if f := e.testBeforeReplay; f != nil {
-		f(p)
 	}
 	if !w.replayTo(p.id) {
 		return false // abort while waiting on an unpublished delta
@@ -232,7 +190,7 @@ func (w *worker) replayTo(seq int64) bool {
 	}
 	var replayed int64
 	for t := applied; t < seq; t++ {
-		en := w.e.ring.waitFor(t, w.e.abort, &w.waitNs)
+		en := w.e.ring.waitFor(t, w.e.Aborted(), &w.waitNs)
 		if en == nil {
 			w.replayWaitNs.Store(w.waitNs)
 			return false
@@ -293,37 +251,12 @@ func (w *worker) execStageObserved(si int, env *ir.Env) {
 	ir.ExecStageObserved(&w.e.prog.Stages[si], env, w.regs, w.obs)
 }
 
-// egress completes the packet: record outputs and egress order into
-// worker-private shards, notify the OnEgress hook, recycle the packet,
-// release the window token, and close the engine's done gate on the last
-// packet.
+// egress completes the packet: the lane records it (outputs, egress
+// order, latency, OnEgress, span), then the packet is recycled before its
+// window token is returned.
 func (w *worker) egress(p *packet) {
-	e := w.e
-	if p.span != nil {
-		p.span.Advance(dataplane.StageExec, w.id)
-	}
-	if e.outs != nil {
-		e.outs[p.id] = append([]int64(nil), p.env.Fields...)
-	} else if w.outs != nil {
-		w.outs[p.id] = append([]int64(nil), p.env.Fields...)
-	}
-	if e.cfg.RecordEgressOrder {
-		w.egRecs = append(w.egRecs, egRec{seq: e.egSeq.Add(1), id: p.id})
-	}
-	w.lat.Add(float64(time.Since(p.start).Microseconds()))
-	e.met.Egressed.Inc()
-	if f := e.cfg.OnEgress; f != nil {
-		f(p.id)
-	}
-	if p.span != nil {
-		p.span.Advance(dataplane.StageEgress, w.id)
-		e.trc.Finish(p.span)
-		p.span = nil // the tracer owns (and recycles) the span now
-	}
-	e.putPacket(p)
-	e.releaseWindow()
-	c := e.completed.Add(1)
-	if t := e.total.Load(); t >= 0 && c == t {
-		e.closeDone()
-	}
+	w.Egress(p.id, p.env.Fields, p.start, p.span)
+	p.span = nil // the tracer owns (and recycles) the span now
+	w.e.free.Put(p)
+	w.e.Complete()
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mp5/internal/dataplane"
-	"mp5/internal/screp"
 	"mp5/internal/telemetry"
 )
 
@@ -49,12 +48,6 @@ func (s *Server) registerGauges(r *telemetry.Registry) {
 	s.rxPPS = r.NewGauge("server_rx_pps", "decoded frames per second over the last sampler interval")
 	s.ackPPS = r.NewGauge("server_ack_pps", "egress acks per second over the last sampler interval")
 	s.egPPS = r.NewGauge("dataplane_egress_pps", "packets egressed per second over the last sampler interval")
-	if s.cfg.ReplicationStats != nil {
-		// Replication gauges exist only when a state-compute-replication
-		// engine is wired in; the sharded daemon registers nothing.
-		s.replLagG = r.NewGaugeVec("screp_replication_lag", "published-but-unapplied write deltas per replica (pending replay depth)", "replica")
-		s.replWaitG = r.NewGaugeVec("screp_replay_wait_ns", "cumulative wall time per replica spent waiting for unpublished deltas", "replica")
-	}
 }
 
 // samplerLoop is the background sampler goroutine (Start → Shutdown).
@@ -92,14 +85,6 @@ func (s *Server) samplerLoop() {
 			pending, maxDepth := s.eng.TicketDepths()
 			s.ticketG.Set(float64(pending), "pending")
 			s.ticketG.Set(float64(maxDepth), "max")
-
-			if f := s.cfg.ReplicationStats; f != nil {
-				for _, rs := range f() {
-					lbl := strconv.Itoa(rs.ID)
-					s.replLagG.Set(float64(rs.Lag), lbl)
-					s.replWaitG.Set(float64(rs.ReplayWaitNs), lbl)
-				}
-			}
 
 			for _, ts := range s.tenantStats() {
 				s.tenantSubG.Set(float64(ts.Submitted), ts.Name)
@@ -209,11 +194,6 @@ type StatsSnapshot struct {
 	WorkerStats []dataplane.WorkerStat `json:"worker_stats"`
 	Stages      []dataplane.StageStat  `json:"stages"`
 	Tenants     []TenantStat           `json:"tenants"`
-	// Replication is the per-replica view of a state-compute-replication
-	// engine (replay frontier, pending replay depth, cumulative replay
-	// wait); absent entirely on the sharded daemon (Config.ReplicationStats
-	// nil — the JSON carries no key, old mp5top decodes unchanged).
-	Replication []screp.ReplicaStat `json:"replication,omitempty"`
 
 	TraceSampled int64 `json:"trace_sampled"`
 	TraceDropped int64 `json:"trace_dropped"`
@@ -260,9 +240,6 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 
 		TraceSampled: s.trc.Sampled(),
 		TraceDropped: s.trc.Dropped(),
-	}
-	if f := s.cfg.ReplicationStats; f != nil {
-		snap.Replication = f()
 	}
 	if t0 := s.startNs.Load(); t0 != 0 {
 		snap.UptimeSec = float64(snap.NowUnixNs-t0) / 1e9

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's local CI gate: build, gofmt, vet, the
 # race-enabled test suite, the differential-fuzzing smoke, the network
-# daemon soak, and the telemetry-overhead guard benchmark. Mirrors
+# daemon soak, the benchmark module, and the telemetry-overhead guard
+# benchmark. Mirrors
 # `make check` for environments without make.
 set -eux
 
@@ -26,8 +27,9 @@ go test -race -count 1 ./internal/screp
 # egress acks, graceful drain, differential verification of the admitted
 # order) must stay race-clean too.
 go test -race -count 1 ./internal/server
-# Allocs-per-op regression gate: steady-state Submit must stay at exactly
-# zero heap allocations per packet and SubmitBatch at ~zero per chunk.
+# Allocs-per-op regression gate over both engines (sharded and screp):
+# steady-state Submit must stay at exactly zero heap allocations per packet
+# and SubmitBatch at ~zero per chunk.
 # Deliberately NOT under -race (the race runtime allocates, which would
 # make AllocsPerRun meaningless — those tests self-skip under -race).
 go test -count 1 -run 'TestSubmitSteadyStateAllocs|TestSubmitBatchSteadyStateAllocs' ./internal/dataplane
@@ -71,6 +73,10 @@ sh scripts/tenant_smoke.sh
 # must serve, and mp5trace must reconcile every exported span's stage sums
 # against its total.
 sh scripts/trace_smoke.sh
+# The benchmark module: perfbench/ is a separate Go module, so the root
+# `go test ./...` never compiles it; vet and test it here so an engine API
+# change cannot break the benchmark silently.
+(cd perfbench && go vet . && go test -count 1 .)
 # Guard: the simulator with tracing disabled (BenchmarkTraceDisabled) must
 # stay within 2% of the seed's BenchmarkSimulatorPacketRate; compare the
 # pkts/s metrics printed below. BenchmarkTraceTelemetry shows the cost of
